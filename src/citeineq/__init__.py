@@ -36,8 +36,6 @@ from .landau import (
 from .lorenz import IndexPair, LorenzCurve, build_lorenz, gini, hirsch, index_pair, kolkata
 from .profiles import Publication, ResearcherProfile
 from .soc import (
-    CUMULATIVE_SOC_MARK,
-    SOC_BAND,
     SOC_MARK,
     CareerSummary,
     CrossingResult,
@@ -64,7 +62,6 @@ __all__ = [
     "ANALYTIC_SLOPE",
     "AllSkipped",
     "BadSpec",
-    "CUMULATIVE_SOC_MARK",
     "CareerSummary",
     "CiteIneqError",
     "CrossingResult",
@@ -82,7 +79,6 @@ __all__ = [
     "ParseError",
     "Publication",
     "ResearcherProfile",
-    "SOC_BAND",
     "SOC_MARK",
     "SchemaError",
     "SocConfig",

@@ -31,7 +31,7 @@ from .report import (
     write_json,
     write_text,
 )
-from .soc import SocConfig
+from .soc import SOC_MARK, SocConfig
 from .windows import WindowConfig
 
 EXIT_OK = 0
@@ -40,16 +40,23 @@ EXIT_COMPUTE = 2
 EXIT_PARTIAL = 3
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--window-width", type=int, default=5, help="window width in years")
-    parser.add_argument("--stride", type=int, default=1, help="window stride in years")
-    parser.add_argument("--end-year", type=int, default=2022, help="last data year (inclusive)")
-    parser.add_argument("--min-pubs", type=int, default=2, help="minimum publications per window")
-    parser.add_argument("--soc-mark", type=float, default=0.82, help="g = k precursor level")
-    parser.add_argument("--soc-band", type=float, default=0.02, help="band half-width around the mark")
-    parser.add_argument("--marginal-tol", type=float, default=0.01, help="max k - g gap still called marginal")
-    parser.add_argument("--r-threshold", type=float, default=40.0, help="peak-ratio flag threshold")
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags ``_run_config`` reads; defaults come from the config classes."""
+    window, soc = WindowConfig(), SocConfig()
+    parser.add_argument("--window-width", type=int, default=window.width_years, help="window width in years")
+    parser.add_argument("--stride", type=int, default=window.stride_years, help="window stride in years")
+    parser.add_argument("--end-year", type=int, default=window.end_year, help="last data year (inclusive)")
+    parser.add_argument("--min-pubs", type=int, default=window.min_pubs, help="minimum publications per window")
+    parser.add_argument("--soc-mark", type=float, default=soc.soc_mark, help="g = k precursor level")
+    parser.add_argument(
+        "--marginal-tol", type=float, default=soc.marginal_tolerance, help="max k - g gap still called marginal"
+    )
+    parser.add_argument("--r-threshold", type=float, default=soc.r_threshold, help="peak-ratio flag threshold")
     parser.add_argument("--format", choices=["csv", "json", "markdown"], default="csv", dest="fmt")
+    _add_out_flag(parser)
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
@@ -63,12 +70,9 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         ),
         soc=SocConfig(
             soc_mark=args.soc_mark,
-            soc_band=args.soc_band,
             marginal_tolerance=args.marginal_tol,
             r_threshold=args.r_threshold,
         ),
-        out_dir=args.out,
-        fmt=args.fmt,
     )
 
 
@@ -82,32 +86,30 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     profile = load_profile(args.profile)
     series, summary = analyze_profile(profile, config)
     stem = _slug(profile.name)
-    series_path = write_text(series_to_csv(series), config.out_dir / f"{stem}_series.csv")
-    summary_path = write_json(summary_to_dict(summary), config.out_dir / f"{stem}_summary.json")
+    series_path = write_text(series_to_csv(series), args.out / f"{stem}_series.csv")
+    summary_path = write_json(summary_to_dict(summary), args.out / f"{stem}_summary.json")
     print(series_path)
     print(summary_path)
-    if config.fmt == "markdown":
+    if args.fmt == "markdown":
         md = cohort_to_markdown(BatchResult([summary], []), {summary.name: list(profile.tags)})
-        print(write_text(md, config.out_dir / f"{stem}_summary.md"))
+        print(write_text(md, args.out / f"{stem}_summary.md"))
     return EXIT_OK
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     series = read_series_csv(args.series)
     fit = fit_series(series)
     stem = Path(args.series).stem
-    print(write_json(fit_to_dict(fit), config.out_dir / f"{stem}_fit.json"))
+    print(write_json(fit_to_dict(fit), args.out / f"{stem}_fit.json"))
     return EXIT_OK
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     series = read_series_csv(args.series)
     fit = fit_series(series)
     stem = Path(args.series).stem
-    print(write_text(timepanel_csv(series, config.soc.soc_mark), config.out_dir / f"{stem}_timepanel.csv"))
-    print(write_text(inset_csv(series, fit), config.out_dir / f"{stem}_inset.csv"))
+    print(write_text(timepanel_csv(series, args.soc_mark), args.out / f"{stem}_timepanel.csv"))
+    print(write_text(inset_csv(series, fit), args.out / f"{stem}_inset.csv"))
     return EXIT_OK
 
 
@@ -127,13 +129,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for summary in batch.summaries:
         stem = _slug(summary.name)
         series = batch.series_by_name[summary.name]
-        write_text(series_to_csv(series), config.out_dir / "profiles" / f"{stem}_series.csv")
-        write_json(summary_to_dict(summary), config.out_dir / "profiles" / f"{stem}_summary.json")
+        write_text(series_to_csv(series), args.out / "profiles" / f"{stem}_series.csv")
+        write_json(summary_to_dict(summary), args.out / "profiles" / f"{stem}_summary.json")
 
-    print(write_text(cohort_to_csv(batch, tags_by_name), config.out_dir / "cohort.csv"))
-    print(write_json(cohort_to_json(batch, tags_by_name), config.out_dir / "cohort.json"))
-    if config.fmt == "markdown":
-        print(write_text(cohort_to_markdown(batch, tags_by_name), config.out_dir / "cohort.md"))
+    print(write_text(cohort_to_csv(batch, tags_by_name), args.out / "cohort.csv"))
+    print(write_json(cohort_to_json(batch, tags_by_name), args.out / "cohort.json"))
+    if args.fmt == "markdown":
+        print(write_text(cohort_to_markdown(batch, tags_by_name), args.out / "cohort.md"))
     return EXIT_PARTIAL if batch.failures else EXIT_OK
 
 
@@ -151,8 +153,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if suffix in (".csv", ".json"):
         out, fmt = args.out, suffix[1:]
     else:
-        fmt = "csv" if args.fmt == "csv" else "json"
-        out = args.out / f"{_slug(profile.name)}.{fmt}"
+        out, fmt = args.out / f"{_slug(profile.name)}.{args.fmt}", args.fmt
     print(write_profile(profile, out, fmt=fmt))
     return EXIT_OK
 
@@ -166,22 +167,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="window series + career summary for one profile")
     p.add_argument("profile", type=Path, help="profile file (.csv or .json)")
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fit", help="fit k = 1/2 + c*g over a series file")
     p.add_argument("series", type=Path, help="series CSV written by analyze")
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("plotdata", help="plot-ready panels for a series file")
     p.add_argument("series", type=Path, help="series CSV written by analyze")
-    _add_common_flags(p)
+    p.add_argument("--soc-mark", type=float, default=SOC_MARK, help="g = k precursor level")
+    _add_out_flag(p)
     p.set_defaults(func=_cmd_plotdata)
 
     p = sub.add_parser("batch", help="cohort tables for a manifest of profiles")
     p.add_argument("manifest", type=Path, help="JSON array of {name, path, tags}")
-    _add_common_flags(p)
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic profile")
@@ -193,7 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--value", type=int, default=100, help="equal/uniform citation level")
     p.add_argument("--name", default=None)
-    _add_common_flags(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt",
+                   help="used when --out is a directory")
+    _add_out_flag(p)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -34,8 +34,9 @@ SYNTH_CITATION_CAP = 10**9
 def load_profile(path) -> ResearcherProfile:
     """Load a researcher profile from a CSV or JSON file.
 
-    The format is chosen by file extension.  Rows are validated (4-digit
-    year, nonnegative integer citations, unique pub_id) and the resulting
+    The format is chosen by file extension.  Rows are validated by
+    ``Publication`` and the profile by ``ResearcherProfile``; a row error
+    names its CSV line or JSON ``publications`` index.  The resulting
     profile is in canonical (year, pub_id) order.
     """
     path = Path(path)
@@ -54,20 +55,6 @@ def _parse_int(text: str, what: str, line: int) -> int:
         return int(text.strip())
     except ValueError:
         raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
-
-
-def _check_year(year: int, line: int | None = None) -> int:
-    if not 1000 <= year <= 9999:
-        msg = f"year {year} is not a 4-digit calendar year"
-        raise ValidationError(msg if line is None else f"line {line}: {msg}")
-    return year
-
-
-def _check_citations(citations: int, line: int | None = None) -> int:
-    if citations < 0:
-        msg = f"citations must be nonnegative, got {citations}"
-        raise ValidationError(msg if line is None else f"line {line}: {msg}")
-    return citations
 
 
 def _load_csv(path: Path) -> ResearcherProfile:
@@ -89,12 +76,12 @@ def _load_csv(path: Path) -> ResearcherProfile:
             line = reader.line_num
             if len(row) != 3:
                 raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
-            pub_id = row[0].strip()
-            if not pub_id:
-                raise ParseError("empty pub_id", line=line)
-            year = _check_year(_parse_int(row[1], "year", line), line)
-            citations = _check_citations(_parse_int(row[2], "citations", line), line)
-            pubs.append(Publication(pub_id=pub_id, year=year, citations=citations))
+            year = _parse_int(row[1], "year", line)
+            citations = _parse_int(row[2], "citations", line)
+            try:
+                pubs.append(Publication(pub_id=row[0].strip(), year=year, citations=citations))
+            except ValidationError as exc:
+                raise ValidationError(f"line {line}: {exc}") from None
     return ResearcherProfile(name=path.stem, tags=[], publications=pubs)
 
 
@@ -121,14 +108,10 @@ def _load_json(path: Path) -> ResearcherProfile:
     for i, rec in enumerate(raw_pubs):
         if not isinstance(rec, dict) or not {"id", "year", "citations"} <= rec.keys():
             raise ParseError(f"publications[{i}] must have id, year and citations")
-        pub_id, year, citations = rec["id"], rec["year"], rec["citations"]
-        if not isinstance(pub_id, str) or not pub_id:
-            raise ValidationError(f"publications[{i}]: id must be a nonempty string")
-        if not isinstance(year, int) or not isinstance(citations, int):
-            raise ValidationError(f"publications[{i}]: year and citations must be integers")
-        _check_year(year)
-        _check_citations(citations)
-        pubs.append(Publication(pub_id=pub_id, year=year, citations=citations))
+        try:
+            pubs.append(Publication(pub_id=rec["id"], year=rec["year"], citations=rec["citations"]))
+        except ValidationError as exc:
+            raise ValidationError(f"publications[{i}]: {exc}") from None
     return ResearcherProfile(name=name, tags=list(tags), publications=pubs)
 
 

@@ -1,9 +1,10 @@
 """Researcher profiles: named publication lists with per-paper citation counts.
 
 Citation counts are present-day totals attributed to the publication year;
-no accrual history is modelled.  Profiles canonicalize on construction:
-publications are validated and sorted by (year, pub_id) so that every
-downstream result is independent of input file order.
+no accrual history is modelled.  Every row is validated when its
+``Publication`` is built; a profile checks only what spans rows (nonempty,
+unique pub_id) and sorts by (year, pub_id) so that every downstream result
+is independent of input file order.
 """
 
 from __future__ import annotations
@@ -15,16 +16,34 @@ from .errors import EmptyProfile, ValidationError
 
 MIN_YEAR = 1800
 
-
-def _max_year() -> int:
-    return datetime.date.today().year
+#: Latest accepted publication year, read once at import rather than per row.
+MAX_YEAR = datetime.date.today().year
 
 
 @dataclass(frozen=True)
 class Publication:
+    """One paper, validated on construction.
+
+    The exact ``int`` type checks keep a JSON ``true`` from counting as 1.
+    """
+
     pub_id: str
     year: int
     citations: int
+
+    def __post_init__(self):
+        if type(self.pub_id) is not str or not self.pub_id:
+            raise ValidationError(f"pub_id must be a nonempty string, got {self.pub_id!r}")
+        if type(self.year) is not int or not MIN_YEAR <= self.year <= MAX_YEAR:
+            raise ValidationError(
+                f"publication {self.pub_id!r}: year {self.year!r} is not a "
+                f"4-digit calendar year in [{MIN_YEAR}, {MAX_YEAR}]"
+            )
+        if type(self.citations) is not int or self.citations < 0:
+            raise ValidationError(
+                f"publication {self.pub_id!r}: citations must be a "
+                f"nonnegative integer, got {self.citations!r}"
+            )
 
 
 @dataclass
@@ -36,19 +55,8 @@ class ResearcherProfile:
     def __post_init__(self):
         if not self.publications:
             raise EmptyProfile(f"profile {self.name!r} has no publications")
-        max_year = _max_year()
         seen: set[str] = set()
         for pub in self.publications:
-            if not isinstance(pub.year, int) or not MIN_YEAR <= pub.year <= max_year:
-                raise ValidationError(
-                    f"publication {pub.pub_id!r}: year {pub.year!r} outside "
-                    f"[{MIN_YEAR}, {max_year}]"
-                )
-            if not isinstance(pub.citations, int) or pub.citations < 0:
-                raise ValidationError(
-                    f"publication {pub.pub_id!r}: citations must be a "
-                    f"nonnegative integer, got {pub.citations!r}"
-                )
             if pub.pub_id in seen:
                 raise ValidationError(f"duplicate pub_id {pub.pub_id!r}")
             seen.add(pub.pub_id)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateFit, ParseError
 from .ingest import ManifestEntry, load_profile
 from .landau import FitResult, fit_k_vs_g
-from .soc import CareerSummary, SocConfig, career_summary
+from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
 
 SERIES_HEADER = "central_year,g,k,n_pubs,n_cites,skipped"
@@ -27,13 +27,11 @@ INSET_LINE_SAMPLES = 50
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by all CLI commands; defaults reproduce the
-    5-year/2022 windowing, the 0.82 +- 0.02 mark and the R >= 40 flag."""
+    """Analysis settings of ``analyze`` and ``batch``; defaults reproduce the
+    5-year/2022 windowing, the 0.82 mark and the R >= 40 flag."""
 
     window: WindowConfig = field(default_factory=WindowConfig)
     soc: SocConfig = field(default_factory=SocConfig)
-    out_dir: Path = Path(".")
-    fmt: str = "csv"
 
 
 def _fnum(value: float | None) -> str:
@@ -198,7 +196,7 @@ class BatchResult:
         agg: dict = {"n_profiles": n, "n_failures": len(self.failures)}
         if n == 0:
             return agg
-        yes = [s.crossing.classification == "Yes" for s in self.summaries]
+        yes = [s.crossing.classification == CROSS_YES for s in self.summaries]
         flagged = [s.soc_flagged for s in self.summaries]
         agg["fraction_crossing_yes"] = sum(yes) / n
         agg["flag_crossing_agreement"] = sum(y == f for y, f in zip(yes, flagged)) / n

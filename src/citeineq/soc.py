@@ -21,25 +21,14 @@ from .windows import IndexSeries, YearlyAverage, yearly_average
 #: Windowed-statistics precursor level for the g = k crossing.
 SOC_MARK = 0.82
 
-#: Reported half-width of the band around the mark.
-SOC_BAND = 0.02
-
-#: Crossing level seen for whole-career (cumulative) statistics; reported
-#: as a constant, not re-derived here.
-CUMULATIVE_SOC_MARK = 0.86
-
 CROSS_YES = "Yes"
 CROSS_MARGINAL = "Marginally"
 CROSS_NO = "No"
-
-#: Ordering used by monotonicity checks.
-CROSSING_ORDER = (CROSS_NO, CROSS_MARGINAL, CROSS_YES)
 
 
 @dataclass(frozen=True)
 class SocConfig:
     soc_mark: float = SOC_MARK
-    soc_band: float = SOC_BAND
     marginal_tolerance: float = 0.01
     r_threshold: float = 40.0
 

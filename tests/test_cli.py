@@ -1,11 +1,12 @@
 """CLI subcommands, file formats, and exit codes."""
 
+import argparse
 import json
 
 import pytest
 
 from citeineq import SynthSpec, load_profile, synth_profile, write_profile
-from citeineq.cli import main
+from citeineq.cli import build_parser, main
 from helpers import CROSSING_WINDOW, make_profile
 
 
@@ -26,6 +27,32 @@ def spike_profile_path(tmp_path):
 def equal_profile_path(tmp_path):
     profile = make_profile({y: [7, 7] for y in range(2000, 2010)}, name="flat")
     return write_profile(profile, tmp_path / "flat.json")
+
+
+RUN_FLAGS = {
+    "--window-width", "--stride", "--end-year", "--min-pubs",
+    "--soc-mark", "--marginal-tol", "--r-threshold", "--format", "--out",
+}
+SUBCOMMAND_FLAGS = {
+    "analyze": RUN_FLAGS,
+    "batch": RUN_FLAGS,
+    "fit": {"--out"},
+    "plotdata": {"--soc-mark", "--out"},
+    "synth": {
+        "--model", "--n-papers", "--exponent", "--first-year", "--last-year",
+        "--seed", "--value", "--name", "--format", "--out",
+    },
+}
+
+
+def test_each_subcommand_has_only_the_flags_it_reads():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices.keys() == SUBCOMMAND_FLAGS.keys()
+    for name, parser in sub.choices.items():
+        flags = {opt for action in parser._actions for opt in action.option_strings}
+        assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name], name
+    synth_format = next(a for a in sub.choices["synth"]._actions if "--format" in a.option_strings)
+    assert synth_format.choices == ["csv", "json"]
 
 
 class TestAnalyze:
@@ -135,6 +162,11 @@ class TestPlotdata:
         line = [r for r in inset if r.startswith("line,")]
         assert len(points) == 10 and len(line) == 50
         assert line[0].split(",")[1] == "0.0" and line[-1].split(",")[1] == "1.0"
+        marked = tmp_path / "marked"
+        code, *_ = run(capsys, "plotdata", series_path, "--out", marked, "--soc-mark", "0.9")
+        assert code == 0
+        panel = (marked / "s_timepanel.csv").read_text().splitlines()
+        assert all(row.endswith(",0.9") for row in panel[1:])
 
     def test_skipped_years_keep_axis(self, tmp_path, capsys):
         text = (

@@ -70,6 +70,9 @@ class TestCsvLoading:
     def test_two_digit_year_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="4-digit"):
             load_profile(write(tmp_path, "g.csv", "pub_id,year,citations\np1,99,4\n"))
+        text = "pub_id,year,citations\np1,2001,4\np2,1500,4\n"
+        with pytest.raises(ValidationError, match="line 3: .*year 1500"):
+            load_profile(write(tmp_path, "g1500.csv", text))
 
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(ParseError, match="3 fields"):
@@ -125,6 +128,13 @@ class TestJsonLoading:
         doc = self.doc(publications=[{"id": "x", "year": 2001, "citations": "many"}])
         with pytest.raises(ValidationError):
             load_profile(write(tmp_path, "t.json", json.dumps(doc)))
+
+    @pytest.mark.parametrize("field", ["year", "citations"])
+    def test_boolean_field_rejected(self, tmp_path, field):
+        doc = self.doc()
+        doc["publications"][1][field] = True
+        with pytest.raises(ValidationError, match=r"publications\[1\]"):
+            load_profile(write(tmp_path, "bool.json", json.dumps(doc)))
 
     def test_missing_publication_field(self, tmp_path):
         doc = self.doc(publications=[{"id": "x", "year": 2001}])
