@@ -55,7 +55,7 @@ def main() -> int:
     args.out.mkdir(parents=True, exist_ok=True)
 
     manifest = build_cohort(args.out, args.seed)
-    code = run(["batch", str(manifest), "--out", str(args.out), "--format", "markdown"])
+    code = run(["batch", str(manifest), "--out", str(args.out), "--markdown"])
     if code != 0:
         return code
 

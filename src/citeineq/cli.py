@@ -52,7 +52,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
         "--marginal-tol", type=float, default=soc.marginal_tolerance, help="max k - g gap still called marginal"
     )
     parser.add_argument("--r-threshold", type=float, default=soc.r_threshold, help="peak-ratio flag threshold")
-    parser.add_argument("--format", choices=["csv", "json", "markdown"], default="csv", dest="fmt")
+    parser.add_argument("--markdown", action="store_true", help="also write a Markdown table")
     _add_out_flag(parser)
 
 
@@ -90,7 +90,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     summary_path = write_json(summary_to_dict(summary), args.out / f"{stem}_summary.json")
     print(series_path)
     print(summary_path)
-    if args.fmt == "markdown":
+    if args.markdown:
         md = cohort_to_markdown(BatchResult([summary], []), {summary.name: list(profile.tags)})
         print(write_text(md, args.out / f"{stem}_summary.md"))
     return EXIT_OK
@@ -118,6 +118,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
+    name_by_stem: dict[str, str] = {}
+    for entry in entries:
+        stem = _slug(entry.name)
+        if stem in name_by_stem:
+            raise ValidationError(
+                f"manifest names {name_by_stem[stem]!r} and {entry.name!r} share the file stem {stem!r}"
+            )
+        name_by_stem[stem] = entry.name
     batch = run_batch(entries, config)
     tags_by_name = {e.name: list(e.tags) for e in entries}
     for name, exc in batch.failures:
@@ -134,7 +142,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
     print(write_text(cohort_to_csv(batch, tags_by_name), args.out / "cohort.csv"))
     print(write_json(cohort_to_json(batch, tags_by_name), args.out / "cohort.json"))
-    if args.fmt == "markdown":
+    if args.markdown:
         print(write_text(cohort_to_markdown(batch, tags_by_name), args.out / "cohort.md"))
     return EXIT_PARTIAL if batch.failures else EXIT_OK
 

@@ -9,7 +9,8 @@ Two on-disk profile formats are accepted:
 
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file.  There is deliberately no
-network ingestion; snapshots must be exported to files first.
+network ingestion; snapshots must be exported to files first.  Every input
+file is read as UTF-8 with an optional BOM; undecodable bytes raise ``ParseError``.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
-from .profiles import Publication, ResearcherProfile
+from .profiles import MAX_CITATIONS, Publication, ResearcherProfile
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
-
-#: Hard ceiling on synthetic heavy-tail draws, to keep counts integral.
-SYNTH_CITATION_CAP = 10**9
 
 
 def load_profile(path) -> ResearcherProfile:
@@ -57,39 +55,72 @@ def _parse_int(text: str, what: str, line: int) -> int:
         raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"not UTF-8 text ({exc.reason}): {path}")
+
+
+def read_text(path, what: str) -> str:
+    """Read a whole UTF-8 file, dropping a leading BOM.
+
+    A missing file or undecodable bytes raise ``ParseError`` naming ``what``.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise ParseError(f"{what} file not found: {path}")
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+def _read_json(path: Path, what: str):
+    text = read_text(path, what)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
 def _load_csv(path: Path) -> ResearcherProfile:
-    pubs = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if header != CSV_HEADER:
-            raise ParseError(
-                f"header must be exactly {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-                line=1,
-            )
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
-            year = _parse_int(row[1], "year", line)
-            citations = _parse_int(row[2], "citations", line)
-            try:
-                pubs.append(Publication(pub_id=row[0].strip(), year=year, citations=citations))
-            except ValidationError as exc:
-                raise ValidationError(f"line {line}: {exc}") from None
+            pubs = list(_csv_publications(reader))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=reader.line_num) from None
     return ResearcherProfile(name=path.stem, tags=[], publications=pubs)
 
 
-def _load_json(path: Path) -> ResearcherProfile:
+def _csv_publications(reader):
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+        header = next(reader)
+    except StopIteration:
+        raise ParseError("empty file", line=1) from None
+    if header != CSV_HEADER:
+        raise ParseError(
+            f"header must be exactly {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
+            line=1,
+        )
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != 3:
+            raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
+        year = _parse_int(row[1], "year", line)
+        citations = _parse_int(row[2], "citations", line)
+        try:
+            yield Publication(pub_id=row[0].strip(), year=year, citations=citations)
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+
+
+def _load_json(path: Path) -> ResearcherProfile:
+    doc = _read_json(path, "profile")
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
@@ -151,12 +182,7 @@ class ManifestEntry:
 def load_manifest(path) -> list[ManifestEntry]:
     """Load a cohort manifest; entry paths resolve relative to the manifest."""
     path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"manifest file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    doc = _read_json(path, "manifest")
     if not isinstance(doc, list):
         raise ParseError("manifest must be a JSON array of {name, path, tags}")
     entries = []
@@ -219,7 +245,7 @@ def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile
         counts = rng.integers(0, spec.value + 1, size=spec.n_papers)
     else:
         u = rng.random(spec.n_papers)
-        counts = np.minimum(np.floor(u ** (-1.0 / (spec.exponent - 1.0))), SYNTH_CITATION_CAP)
+        counts = np.minimum(np.floor(u ** (-1.0 / (spec.exponent - 1.0))), MAX_CITATIONS)
     width = len(str(spec.n_papers))
     pubs = [
         Publication(pub_id=f"p{i + 1:0{width}d}", year=int(years[i]), citations=int(counts[i]))

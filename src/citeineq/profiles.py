@@ -3,14 +3,17 @@
 Citation counts are present-day totals attributed to the publication year;
 no accrual history is modelled.  Every row is validated when its
 ``Publication`` is built; a profile checks only what spans rows (nonempty,
-unique pub_id) and sorts by (year, pub_id) so that every downstream result
-is independent of input file order.
+unique pub_id), sorts by (year, pub_id) so that no result depends on input
+file order, and keeps the sorted ``years`` and ``citations`` as int64 columns.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 from .errors import EmptyProfile, ValidationError
 
@@ -18,6 +21,9 @@ MIN_YEAR = 1800
 
 #: Latest accepted publication year, read once at import rather than per row.
 MAX_YEAR = datetime.date.today().year
+
+#: Largest accepted citation count; int64 sums stay exact below 9.2e9 papers.
+MAX_CITATIONS = 10**9
 
 
 @dataclass(frozen=True)
@@ -39,10 +45,10 @@ class Publication:
                 f"publication {self.pub_id!r}: year {self.year!r} is not a "
                 f"4-digit calendar year in [{MIN_YEAR}, {MAX_YEAR}]"
             )
-        if type(self.citations) is not int or self.citations < 0:
+        if type(self.citations) is not int or not 0 <= self.citations <= MAX_CITATIONS:
             raise ValidationError(
-                f"publication {self.pub_id!r}: citations must be a "
-                f"nonnegative integer, got {self.citations!r}"
+                f"publication {self.pub_id!r}: citations must be an integer "
+                f"in [0, {MAX_CITATIONS}], got {self.citations!r}"
             )
 
 
@@ -51,6 +57,8 @@ class ResearcherProfile:
     name: str
     tags: list[str] = field(default_factory=list)
     publications: list[Publication] = field(default_factory=list)
+    years: np.ndarray = field(init=False, repr=False, compare=False)
+    citations: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.publications:
@@ -60,17 +68,6 @@ class ResearcherProfile:
             if pub.pub_id in seen:
                 raise ValidationError(f"duplicate pub_id {pub.pub_id!r}")
             seen.add(pub.pub_id)
-        self.publications.sort(key=lambda p: (p.year, p.pub_id))
-
-    @property
-    def first_year(self) -> int:
-        return self.publications[0].year
-
-    @property
-    def citations(self) -> list[int]:
-        """All citation counts, in canonical publication order."""
-        return [p.citations for p in self.publications]
-
-    def citations_in(self, start_year: int, end_year: int) -> list[int]:
-        """Citation counts of publications dated within [start, end]."""
-        return [p.citations for p in self.publications if start_year <= p.year <= end_year]
+        self.publications.sort(key=attrgetter("year", "pub_id"))
+        self.years = np.array([p.year for p in self.publications], dtype=np.int64)
+        self.citations = np.array([p.citations for p in self.publications], dtype=np.int64)

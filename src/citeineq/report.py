@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateFit, ParseError
-from .ingest import ManifestEntry, load_profile
+from .errors import CiteIneqError, DegenerateFit, ParseError
+from .ingest import ManifestEntry, load_profile, read_text
 from .landau import FitResult, fit_k_vs_g
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -72,16 +72,15 @@ def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
             entries.append(WindowEntry(year, None, None, n_pubs, n_cites, True, skipped_s))
         elif g is None or k is None:
             raise ParseError(f"{source}: non-skipped row missing g or k", line=lineno)
+        elif not (0.0 <= g <= 1.0 and 0.0 <= k <= 1.0):  # also false for nan
+            raise ParseError(f"{source}: g and k must lie in [0, 1], got {g!r}, {k!r}", line=lineno)
         else:
             entries.append(WindowEntry(year, g, k, n_pubs, n_cites, False))
     return IndexSeries(entries=entries)
 
 
 def read_series_csv(path) -> IndexSeries:
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"series file not found: {path}")
-    return series_from_csv(path.read_text(encoding="utf-8"), source=str(path))
+    return series_from_csv(read_text(path, "series"), source=str(path))
 
 
 # --- career summary --------------------------------------------------------
@@ -123,7 +122,7 @@ def fit_to_dict(fit: FitResult) -> dict:
 def write_json(payload: dict, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     return path
 
 
@@ -207,18 +206,24 @@ class BatchResult:
         return agg
 
 
+def _analyze_entry(entry: ManifestEntry, config: RunConfig) -> tuple[IndexSeries, CareerSummary]:
+    """Load and analyze one entry; its profile is freed on return, before the
+    next entry loads, so a batch holds one profile at a time."""
+    profile = load_profile(entry.path)
+    profile.name = entry.name
+    profile.tags = list(entry.tags)
+    return analyze_profile(profile, config)
+
+
 def run_batch(entries: list[ManifestEntry], config: RunConfig) -> BatchResult:
     """Analyze every manifest entry, collecting failures without stopping."""
     summaries, failures, series_by_name = [], [], {}
     for entry in entries:
         try:
-            profile = load_profile(entry.path)
-            profile.name = entry.name
-            profile.tags = list(entry.tags)
-            series, summary = analyze_profile(profile, config)
+            series, summary = _analyze_entry(entry, config)
             summaries.append(summary)
             series_by_name[entry.name] = series
-        except Exception as exc:  # noqa: BLE001 - reported per profile
+        except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
             failures.append((entry.name, exc))
     return BatchResult(summaries=summaries, failures=failures, series_by_name=series_by_name)
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AllSkipped, ZeroCitations
-from .lorenz import build_lorenz, gini, hirsch, kolkata
+from .lorenz import hirsch, index_pair
 from .profiles import ResearcherProfile
 from .windows import IndexSeries, YearlyAverage, yearly_average
 
@@ -122,19 +122,20 @@ def career_summary(
     """
     counts = profile.citations
     n_pubs = len(counts)
-    n_cites = sum(counts)
-    curve = build_lorenz(counts)
+    n_cites = int(counts.sum())
+    overall = index_pair(counts)  # raises ZeroTotal before cites_per_paper's ZeroCitations
     d = cites_per_paper(n_pubs, n_cites)
-    r = max(counts) / d
+    max_citations = int(counts.max())
+    r = max_citations / d
     return CareerSummary(
         name=profile.name,
         n_pubs=n_pubs,
         n_cites=n_cites,
         h_index=hirsch(counts),
-        g_overall=gini(curve),
-        k_overall=kolkata(curve),
+        g_overall=overall.g,
+        k_overall=overall.k,
         yearly=yearly_average(series),
-        max_citations=max(counts),
+        max_citations=max_citations,
         cites_per_paper=d,
         peak_ratio=r,
         crossing=classify_crossing(series, config),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllSkipped, EmptyProfile, NoWindows, ValidationError
-from .lorenz import IndexPair, build_lorenz, gini, kolkata
+from .lorenz import IndexPair, index_pair
 from .profiles import ResearcherProfile
 
 SKIP_NO_PUBS = "no_publications"
@@ -92,23 +92,25 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
     """
     if not profile.publications:
         raise EmptyProfile(f"profile {profile.name!r} has no publications")
-    first = profile.first_year
+    years, citations = profile.years, profile.citations
+    first = int(years[0])
     width, stride = config.width_years, config.stride_years
     if first + width - 1 > config.end_year:
         raise NoWindows(
             f"first window [{first}, {first + width - 1}] ends past {config.end_year}"
         )
 
-    by_year: dict[int, list[int]] = {}
-    for pub in profile.publications:
-        by_year.setdefault(pub.year, []).append(pub.citations)
+    # each window [start, start + width) is the slice lo:hi of the sorted columns
+    starts = np.arange(first, config.end_year - width + 2, stride)
+    lo = np.searchsorted(years, starts)
+    hi = np.searchsorted(years, starts + width)
+    cum = np.concatenate(([0], np.cumsum(citations)))
+    bounds = zip(starts.tolist(), lo.tolist(), hi.tolist(), (cum[hi] - cum[lo]).tolist())
 
     entries = []
-    for start in range(first, config.end_year - width + 2, stride):
-        cites = [c for y in range(start, start + width) for c in by_year.get(y, [])]
+    for start, a, b, n_cites in bounds:
         central = start + width // 2
-        n_pubs = len(cites)
-        n_cites = sum(cites)
+        n_pubs = b - a
         if n_pubs == 0:
             entry = WindowEntry(central, None, None, 0, 0, True, SKIP_NO_PUBS)
         elif n_pubs < config.min_pubs:
@@ -116,8 +118,7 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
         elif n_cites == 0:
             entry = WindowEntry(central, None, None, n_pubs, 0, True, SKIP_ZERO_CITES)
         else:
-            curve = build_lorenz(cites)
-            entry = WindowEntry(central, gini(curve), kolkata(curve), n_pubs, n_cites, False)
+            entry = WindowEntry(central, *index_pair(citations[a:b]), n_pubs, n_cites, False)
         entries.append(entry)
     return IndexSeries(entries=entries)
 

@@ -25,6 +25,11 @@ def gini_pairwise(counts) -> float:
     return pair_sum / (2 * x.size * int(x.sum()))
 
 
+def citations_in(profile: ResearcherProfile, start_year: int, end_year: int) -> list[int]:
+    """Row-by-row oracle: citation counts of publications dated within [start, end]."""
+    return [p.citations for p in profile.publications if start_year <= p.year <= end_year]
+
+
 def make_profile(citations_by_year: dict[int, list[int]], name: str = "test") -> ResearcherProfile:
     pubs = []
     for year in sorted(citations_by_year):

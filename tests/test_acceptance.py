@@ -29,7 +29,7 @@ from citeineq import (
     write_profile,
 )
 from citeineq.cli import main
-from helpers import gini_pairwise, make_profile, series_from_pairs
+from helpers import citations_in, gini_pairwise, make_profile, series_from_pairs
 
 N_VECTORS = 1000
 N_TRIALS = 1000
@@ -209,7 +209,7 @@ def test_criterion_7_window_engine():
         failures.append(("skipped years", skipped_years))
     for e in series.valid_entries():
         start = e.central_year - 2
-        window = profile.citations_in(start, start + 4)
+        window = citations_in(profile, start, start + 4)
         g, k = index_pair(window)
         if e.g != g or e.k != k or e.n_pubs != len(window) or e.n_cites != sum(window):
             failures.append(("mismatch", e.central_year))
@@ -264,7 +264,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
     outputs = []
     for run_dir in ("run-a", "run-b"):
         out = tmp_path / run_dir
-        code = main(["batch", str(manifest), "--out", str(out), "--format", "markdown"])
+        code = main(["batch", str(manifest), "--out", str(out), "--markdown"])
         if code != 0:
             failures.append(("exit code", run_dir, code))
         outputs.append(out)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from citeineq import SynthSpec, load_profile, synth_profile, write_profile
+from citeineq import SynthSpec, load_manifest, load_profile, report, synth_profile, write_profile
 from citeineq.cli import build_parser, main
 from helpers import CROSSING_WINDOW, make_profile
 
@@ -31,7 +31,7 @@ def equal_profile_path(tmp_path):
 
 RUN_FLAGS = {
     "--window-width", "--stride", "--end-year", "--min-pubs",
-    "--soc-mark", "--marginal-tol", "--r-threshold", "--format", "--out",
+    "--soc-mark", "--marginal-tol", "--r-threshold", "--markdown", "--out",
 }
 SUBCOMMAND_FLAGS = {
     "analyze": RUN_FLAGS,
@@ -99,12 +99,39 @@ class TestAnalyze:
         assert err.startswith("error: AllSkipped:")
         assert err.strip().count("\n") == 0
 
+    def test_overflowing_counts_are_input_error(self, tmp_path, capsys):
+        # an int64 sum of these counts wraps around; they fail the citation cap instead
+        path = tmp_path / "over.csv"
+        path.write_text(f"pub_id,year,citations\np1,2001,{2**62}\np2,2002,{2**62}\np3,2003,1\n")
+        code, out, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.startswith("error: ValidationError: line 2:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, raw",
+        [
+            ("latin1.csv", b"pub_id,year,citations\ncaf\xe9,2001,3\n"),
+            ("wide.csv", b"pub_id,year,citations\n" + b"x" * 200_000 + b",2001,3\n"),
+            ("latin1.json", b'{"schema_version": 1, "name": "caf\xe9"}'),
+            ("deep.json", b"[" * 100_000),
+            ("long-int.json", b'{"schema_version": ' + b"1" * 5000 + b"}"),
+        ],
+        ids=["latin1-csv", "oversized-csv-field", "latin1-json", "deep-json", "long-int-json"],
+    )
+    def test_undecodable_profile_is_one_line_parse_error(self, tmp_path, capsys, name, raw):
+        path = tmp_path / name
+        path.write_bytes(raw)
+        code, out, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
     def test_markdown_summary(self, tmp_path, equal_profile_path, capsys):
         out_dir = tmp_path / "md"
         code, *_ = run(
             capsys,
             "analyze", equal_profile_path,
-            "--out", out_dir, "--end-year", "2011", "--format", "markdown",
+            "--out", out_dir, "--end-year", "2011", "--markdown",
         )
         assert code == 0
         text = (out_dir / "flat_summary.md").read_text()
@@ -142,6 +169,29 @@ class TestFit:
         code, out, err = run(capsys, "fit", path, "--out", tmp_path)
         assert code == 2
         assert err.startswith("error: DegenerateFit:")
+
+
+@pytest.mark.parametrize("command", ["fit", "plotdata"])
+@pytest.mark.parametrize("bad_g", ["nan", "inf", "1.5", "-0.25"])
+def test_series_g_outside_unit_interval_is_input_error(tmp_path, capsys, command, bad_g):
+    lines = ["central_year,g,k,n_pubs,n_cites,skipped"]
+    lines += [f"{2000 + i},0.{50 + i},0.{70 + i},5,50," for i in range(5)]
+    lines.append(f"2005,{bad_g},0.75,5,50,")
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, series_path, "--out", out_dir)
+    assert code == 1
+    assert err.startswith("error: ParseError: line 7:") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_series_with_utf8_bom_accepted(tmp_path, capsys):
+    lines = ["central_year,g,k,n_pubs,n_cites,skipped", "2000,0.5,0.7,5,50,", "2001,0.6,0.74,5,60,"]
+    series_path = tmp_path / "s.csv"
+    series_path.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode())
+    code, out, err = run(capsys, "fit", series_path, "--out", tmp_path)
+    assert code == 0 and err == ""
 
 
 class TestPlotdata:
@@ -272,10 +322,39 @@ class TestBatch:
         code, out, err = run(capsys, "batch", manifest, "--out", tmp_path)
         assert code == 2
 
+    def test_colliding_file_stems_refused(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=2)
+        entries = json.loads(manifest.read_text())
+        entries[0]["name"], entries[1]["name"] = "J Doe", "j-doe"
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert err.startswith("error: ValidationError:") and err.count("\n") == 1
+        assert "'J Doe'" in err and "'j-doe'" in err
+        assert not out_dir.exists()
+
+    def test_deep_manifest_is_one_line_parse_error(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text("[" * 100_000)
+        code, out, err = run(capsys, "batch", manifest, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.startswith("error: ParseError:") and err.count("\n") == 1
+
+    def test_programming_error_is_not_a_profile_failure(self, tmp_path, monkeypatch):
+        entries = load_manifest(build_cohort(tmp_path, n_profiles=1))
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(report, "window_series", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            report.run_batch(entries, report.RunConfig())
+
     def test_markdown_cohort(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path)
         out_dir = tmp_path / "out"
-        code, *_ = run(capsys, "batch", manifest, "--out", out_dir, "--format", "markdown")
+        code, *_ = run(capsys, "batch", manifest, "--out", out_dir, "--markdown")
         assert code == 0
         text = (out_dir / "cohort.md").read_text()
         assert "| Researcher |" in text
@@ -293,7 +372,7 @@ class TestSynthCommand:
         assert code == 0
         profile = load_profile(out_file)
         assert profile.name == "fiver"
-        assert profile.citations == [7] * 5
+        assert profile.citations.tolist() == [7] * 5
 
     def test_csv_output(self, tmp_path, capsys):
         out_file = tmp_path / "p.csv"

@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from citeineq import (
     BadSpec,
     ParseError,
+    Publication,
+    ResearcherProfile,
     SchemaError,
     SynthSpec,
     ValidationError,
@@ -16,7 +19,10 @@ from citeineq import (
     synth_profile,
     write_profile,
 )
+from citeineq.profiles import MAX_CITATIONS
 from helpers import gini_pairwise
+
+BOM = b"\xef\xbb\xbf"
 
 
 def write(tmp_path, name, text):
@@ -87,6 +93,19 @@ class TestCsvLoading:
         with pytest.raises(ParseError, match="missing.csv"):
             load_profile(tmp_path / "missing.csv")
 
+    def test_citation_cap_is_inclusive(self, tmp_path):
+        text = f"pub_id,year,citations\np1,2001,{MAX_CITATIONS}\np2,2002,1\n"
+        assert load_profile(write(tmp_path, "cap.csv", text)).citations.max() == MAX_CITATIONS
+        text = f"pub_id,year,citations\np1,2001,1\np2,2002,{MAX_CITATIONS + 1}\n"
+        with pytest.raises(ValidationError, match="line 3: .*citations"):
+            load_profile(write(tmp_path, "over.csv", text))
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + GOOD_CSV.encode())
+        plain = write(tmp_path, "plain.csv", GOOD_CSV)
+        assert load_profile(path).publications == load_profile(plain).publications
+
 
 class TestJsonLoading:
     def doc(self, **overrides):
@@ -135,6 +154,17 @@ class TestJsonLoading:
         doc["publications"][1][field] = True
         with pytest.raises(ValidationError, match=r"publications\[1\]"):
             load_profile(write(tmp_path, "bool.json", json.dumps(doc)))
+
+    def test_count_above_cap_rejected(self, tmp_path):
+        doc = self.doc()
+        doc["publications"][0]["citations"] = 10**20
+        with pytest.raises(ValidationError, match=r"publications\[0\]: .*citations"):
+            load_profile(write(tmp_path, "huge.json", json.dumps(doc)))
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(BOM + json.dumps(self.doc()).encode())
+        assert load_profile(path).name == "J Doe"
 
     def test_missing_publication_field(self, tmp_path):
         doc = self.doc(publications=[{"id": "x", "year": 2001}])
@@ -192,11 +222,32 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(write(tmp_path, "o.json", json.dumps([{"name": "A"}])))
 
+    def test_utf8_bom_accepted(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(BOM + json.dumps([{"name": "A", "path": "a.csv"}]).encode())
+        assert [e.name for e in load_manifest(path)] == ["A"]
+
+
+class TestProfileColumns:
+    def test_columns_follow_canonical_order(self):
+        pubs = [Publication("b", 2003, 5), Publication("a", 2003, 7), Publication("c", 2001, 2)]
+        profile = ResearcherProfile(name="cols", publications=pubs)
+        assert profile.years.dtype == profile.citations.dtype == np.int64
+        assert profile.years.tolist() == [2001, 2003, 2003]
+        assert profile.citations.tolist() == [2, 7, 5]
+
+    def test_columns_left_out_of_repr(self):
+        profile = ResearcherProfile(name="x", publications=[Publication("p", 2001, 1)])
+        assert repr(profile) == (
+            "ResearcherProfile(name='x', tags=[], "
+            "publications=[Publication(pub_id='p', year=2001, citations=1)])"
+        )
+
 
 class TestSynthesis:
     def test_equal_model_pipeline(self):
         profile = synth_profile(SynthSpec(model="equal", n_papers=5, value=7))
-        assert profile.citations == [7, 7, 7, 7, 7]
+        assert profile.citations.tolist() == [7, 7, 7, 7, 7]
         g, k = index_pair(profile.citations)
         assert (g, k) == (0.0, 0.5)
 
