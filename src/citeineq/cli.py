@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .errors import INPUT_ERRORS, CiteIneqError, ValidationError
-from .ingest import SynthSpec, load_manifest, load_profile, synth_profile, write_profile
+from .ingest import SynthSpec, file_stem, load_manifest, load_profile, synth_profile, write_profile
 from .report import (
     BatchResult,
     RunConfig,
@@ -31,8 +31,8 @@ from .report import (
     write_json,
     write_text,
 )
-from .soc import SOC_MARK, SocConfig
-from .windows import WindowConfig
+from .soc import SOC_MARK, CareerSummary, SocConfig
+from .windows import IndexSeries, WindowConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -47,7 +47,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stride", type=int, default=window.stride_years, help="window stride in years")
     parser.add_argument("--end-year", type=int, default=window.end_year, help="last data year (inclusive)")
     parser.add_argument("--min-pubs", type=int, default=window.min_pubs, help="minimum publications per window")
-    parser.add_argument("--soc-mark", type=float, default=soc.soc_mark, help="g = k precursor level")
     parser.add_argument(
         "--marginal-tol", type=float, default=soc.marginal_tolerance, help="max k - g gap still called marginal"
     )
@@ -68,31 +67,28 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
             end_year=args.end_year,
             min_pubs=args.min_pubs,
         ),
-        soc=SocConfig(
-            soc_mark=args.soc_mark,
-            marginal_tolerance=args.marginal_tol,
-            r_threshold=args.r_threshold,
-        ),
+        soc=SocConfig(marginal_tolerance=args.marginal_tol, r_threshold=args.r_threshold),
     )
 
 
-def _slug(name: str) -> str:
-    cleaned = "".join(ch if ch.isalnum() else "-" for ch in name.lower())
-    return "-".join(filter(None, cleaned.split("-"))) or "profile"
+def _write_profile_files(
+    series: IndexSeries, summary: CareerSummary, directory: Path
+) -> tuple[Path, Path]:
+    """Write ``{stem}_series.csv`` and ``{stem}_summary.json`` of one profile."""
+    stem = file_stem(summary.name)
+    return (
+        write_text(series_to_csv(series), directory / f"{stem}_series.csv"),
+        write_json(summary_to_dict(summary), directory / f"{stem}_summary.json"),
+    )
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    profile = load_profile(args.profile)
-    series, summary = analyze_profile(profile, config)
-    stem = _slug(profile.name)
-    series_path = write_text(series_to_csv(series), args.out / f"{stem}_series.csv")
-    summary_path = write_json(summary_to_dict(summary), args.out / f"{stem}_summary.json")
-    print(series_path)
-    print(summary_path)
+    series, summary = analyze_profile(load_profile(args.profile), _run_config(args))
+    for path in _write_profile_files(series, summary, args.out):
+        print(path)
     if args.markdown:
-        md = cohort_to_markdown(BatchResult([summary], []), {summary.name: list(profile.tags)})
-        print(write_text(md, args.out / f"{stem}_summary.md"))
+        md = cohort_to_markdown(BatchResult([summary], []))
+        print(write_text(md, args.out / f"{file_stem(summary.name)}_summary.md"))
     return EXIT_OK
 
 
@@ -118,32 +114,20 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
-    name_by_stem: dict[str, str] = {}
-    for entry in entries:
-        stem = _slug(entry.name)
-        if stem in name_by_stem:
-            raise ValidationError(
-                f"manifest names {name_by_stem[stem]!r} and {entry.name!r} share the file stem {stem!r}"
-            )
-        name_by_stem[stem] = entry.name
     batch = run_batch(entries, config)
-    tags_by_name = {e.name: list(e.tags) for e in entries}
     for name, exc in batch.failures:
         print(f"error: {type(exc).__name__}: profile {name!r}: {exc}", file=sys.stderr)
     if not batch.summaries:
         print("error: BatchFailed: every profile in the batch failed", file=sys.stderr)
         return EXIT_COMPUTE
 
-    for summary in batch.summaries:
-        stem = _slug(summary.name)
-        series = batch.series_by_name[summary.name]
-        write_text(series_to_csv(series), args.out / "profiles" / f"{stem}_series.csv")
-        write_json(summary_to_dict(summary), args.out / "profiles" / f"{stem}_summary.json")
+    for series, summary in zip(batch.series, batch.summaries):
+        _write_profile_files(series, summary, args.out / "profiles")
 
-    print(write_text(cohort_to_csv(batch, tags_by_name), args.out / "cohort.csv"))
-    print(write_json(cohort_to_json(batch, tags_by_name), args.out / "cohort.json"))
+    print(write_text(cohort_to_csv(batch), args.out / "cohort.csv"))
+    print(write_json(cohort_to_json(batch), args.out / "cohort.json"))
     if args.markdown:
-        print(write_text(cohort_to_markdown(batch, tags_by_name), args.out / "cohort.md"))
+        print(write_text(cohort_to_markdown(batch), args.out / "cohort.md"))
     return EXIT_PARTIAL if batch.failures else EXIT_OK
 
 
@@ -161,7 +145,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if suffix in (".csv", ".json"):
         out, fmt = args.out, suffix[1:]
     else:
-        out, fmt = args.out / f"{_slug(profile.name)}.{args.fmt}", args.fmt
+        out, fmt = args.out / f"{file_stem(profile.name)}.{args.fmt}", args.fmt
     print(write_profile(profile, out, fmt=fmt))
     return EXIT_OK
 
@@ -215,15 +199,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except (CiteIneqError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CiteIneqError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except OSError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        computed = isinstance(exc, CiteIneqError) and not isinstance(exc, INPUT_ERRORS)
+        return EXIT_COMPUTE if computed else EXIT_INPUT
 
 
 if __name__ == "__main__":

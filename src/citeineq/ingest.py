@@ -2,20 +2,22 @@
 
 Two on-disk profile formats are accepted:
 
-* CSV with the exact header ``pub_id,year,citations`` (UTF-8, LF or CRLF,
-  no quoting; pub_id must not contain commas);
+* CSV with the exact header ``pub_id,year,citations`` (UTF-8, LF or CRLF;
+  a cell may be quoted, and the pub_id is kept verbatim);
 * a JSON document with ``schema_version`` (= 1), ``name``, ``tags`` and a
   ``publications`` array of ``{id, year, citations}`` objects.
 
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
-paths resolve relative to the manifest file.  There is deliberately no
-network ingestion; snapshots must be exported to files first.  Every input
-file is read as UTF-8 with an optional BOM; undecodable bytes raise ``ParseError``.
+paths resolve relative to the manifest file and whose names give distinct
+output file stems.  There is deliberately no network ingestion; snapshots
+must be exported to files first.  Every input file is read as UTF-8 with an
+optional BOM; undecodable bytes raise ``ParseError``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
-from .profiles import MAX_CITATIONS, Publication, ResearcherProfile
+from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
@@ -114,7 +116,7 @@ def _csv_publications(reader):
         year = _parse_int(row[1], "year", line)
         citations = _parse_int(row[2], "citations", line)
         try:
-            yield Publication(pub_id=row[0].strip(), year=year, citations=citations)
+            yield Publication(pub_id=row[0], year=year, citations=citations)
         except ValidationError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
 
@@ -151,11 +153,12 @@ def write_profile(profile: ResearcherProfile, path, fmt: str = "json") -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
+        def rows():
+            yield CSV_HEADER
             for pub in profile.publications:
-                writer.writerow([pub.pub_id, pub.year, pub.citations])
+                yield [pub.pub_id, pub.year, pub.citations]
+
+        path.write_text(csv_text(rows), encoding="utf-8", newline="")
     elif fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -170,6 +173,23 @@ def write_profile(profile: ResearcherProfile, path, fmt: str = "json") -> Path:
     else:
         raise ValidationError(f"unknown profile format {fmt!r} (expected csv or json)")
     return path
+
+
+def csv_text(rows) -> str:
+    """CSV text, with LF line ends, of the rows that ``rows()`` yields.
+
+    ``csv.writer`` quotes a cell holding a comma, a quote or an LF but leaves
+    a lone CR bare, which ``csv.reader`` takes for a line end; text holding a
+    CR is therefore written again with every text cell quoted.
+    """
+    text = _csv_text(rows(), csv.QUOTE_MINIMAL)
+    return text if "\r" not in text else _csv_text(rows(), csv.QUOTE_NONNUMERIC)
+
+
+def _csv_text(rows, quoting: int) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -199,10 +219,23 @@ def load_manifest(path) -> list[ManifestEntry]:
                 tags=tuple(tags),
             )
         )
-    names = [e.name for e in entries]
-    if len(set(names)) != len(names):
-        raise ValidationError("manifest names must be unique")
+    name_by_stem: dict[str, str] = {}
+    for entry in entries:
+        stem = file_stem(entry.name)
+        if stem in name_by_stem:
+            raise ValidationError(
+                f"manifest names must give unique file stems: "
+                f"{name_by_stem[stem]!r} and {entry.name!r} both give {stem!r}"
+            )
+        name_by_stem[stem] = entry.name
     return entries
+
+
+def file_stem(name: str) -> str:
+    """File-name stem of a profile's outputs: the lowercased alphanumeric runs
+    of ``name`` joined by ``-``, or ``profile`` when there are none."""
+    cleaned = "".join(ch if ch.isalnum() else "-" for ch in name.lower())
+    return "-".join(filter(None, cleaned.split("-"))) or "profile"
 
 
 @dataclass(frozen=True)
@@ -228,10 +261,14 @@ class SynthSpec:
             raise BadSpec("n_papers must be >= 1")
         if self.model == "powerlaw" and self.exponent <= 1.0:
             raise BadSpec("powerlaw exponent must be > 1")
-        if self.span_years[0] > self.span_years[1]:
-            raise BadSpec("span_years must satisfy first <= last")
-        if self.value < 0:
-            raise BadSpec("value must be nonnegative")
+        first, last = self.span_years
+        if not MIN_YEAR <= first <= last <= MAX_YEAR:
+            raise BadSpec(
+                f"span_years must satisfy {MIN_YEAR} <= first <= last <= {MAX_YEAR}, "
+                f"got ({first}, {last})"
+            )
+        if not 0 <= self.value <= MAX_CITATIONS:
+            raise BadSpec(f"value must be in [0, {MAX_CITATIONS}], got {self.value}")
 
 
 def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CiteIneqError, DegenerateFit, ParseError
-from .ingest import ManifestEntry, load_profile, read_text
+from .ingest import ManifestEntry, load_profile, csv_text, read_text
 from .landau import FitResult, fit_k_vs_g
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -28,7 +28,7 @@ INSET_LINE_SAMPLES = 50
 @dataclass(frozen=True)
 class RunConfig:
     """Analysis settings of ``analyze`` and ``batch``; defaults reproduce the
-    5-year/2022 windowing, the 0.82 mark and the R >= 40 flag."""
+    5-year/2022 windowing, the 0.01 marginal tolerance and the R >= 40 flag."""
 
     window: WindowConfig = field(default_factory=WindowConfig)
     soc: SocConfig = field(default_factory=SocConfig)
@@ -119,11 +119,15 @@ def fit_to_dict(fit: FitResult) -> dict:
     }
 
 
-def write_json(payload: dict, path) -> Path:
+def write_text(text: str, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     return path
+
+
+def write_json(payload: dict, path) -> Path:
+    return write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
 # --- analyze / fit / plotdata ---------------------------------------------
@@ -187,7 +191,8 @@ COHORT_COLUMNS = [
 class BatchResult:
     summaries: list[CareerSummary]
     failures: list[tuple[str, Exception]]
-    series_by_name: dict[str, IndexSeries] = field(default_factory=dict)
+    #: One series per summary, in the same order.
+    series: list[IndexSeries] = field(default_factory=list)
 
     @property
     def aggregates(self) -> dict:
@@ -217,50 +222,48 @@ def _analyze_entry(entry: ManifestEntry, config: RunConfig) -> tuple[IndexSeries
 
 def run_batch(entries: list[ManifestEntry], config: RunConfig) -> BatchResult:
     """Analyze every manifest entry, collecting failures without stopping."""
-    summaries, failures, series_by_name = [], [], {}
+    batch = BatchResult(summaries=[], failures=[])
     for entry in entries:
         try:
             series, summary = _analyze_entry(entry, config)
-            summaries.append(summary)
-            series_by_name[entry.name] = series
         except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
-            failures.append((entry.name, exc))
-    return BatchResult(summaries=summaries, failures=failures, series_by_name=series_by_name)
+            batch.failures.append((entry.name, exc))
+        else:
+            batch.series.append(series)
+            batch.summaries.append(summary)
+    return batch
 
 
-def _cohort_row(summary: CareerSummary, tags: list[str]) -> dict:
+def _cohort_row(summary: CareerSummary) -> dict:
     row = summary_to_dict(summary)
-    row["tags"] = ";".join(tags)
+    row["tags"] = ";".join(summary.tags)
     row["crossing_years"] = ";".join(str(y) for y in summary.crossing.crossing_years)
     return row
 
 
-def cohort_to_csv(batch: BatchResult, tags_by_name: dict[str, list[str]]) -> str:
-    lines = [",".join(COHORT_COLUMNS)]
+def _csv_cell(value):
+    """``true``/``false`` for a bool; ``csv`` writes a float as its ``repr``."""
+    return ("true" if value else "false") if isinstance(value, bool) else value
+
+
+def cohort_to_csv(batch: BatchResult) -> str:
+    """One row per summary; a cell holding a comma, quote or line break is quoted."""
+    rows = [COHORT_COLUMNS]
     for s in batch.summaries:
-        row = _cohort_row(s, tags_by_name.get(s.name, []))
-        cells = []
-        for col in COHORT_COLUMNS:
-            value = row[col]
-            if isinstance(value, bool):
-                cells.append("true" if value else "false")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+        row = _cohort_row(s)
+        rows.append([_csv_cell(row[col]) for col in COHORT_COLUMNS])
+    return csv_text(lambda: rows)
 
 
-def cohort_to_json(batch: BatchResult, tags_by_name: dict[str, list[str]]) -> dict:
+def cohort_to_json(batch: BatchResult) -> dict:
     return {
-        "rows": [_cohort_row(s, tags_by_name.get(s.name, [])) for s in batch.summaries],
+        "rows": [_cohort_row(s) for s in batch.summaries],
         "failures": [{"name": n, "error": f"{type(e).__name__}: {e}"} for n, e in batch.failures],
         "aggregates": batch.aggregates,
     }
 
 
-def cohort_to_markdown(batch: BatchResult, tags_by_name: dict[str, list[str]]) -> str:
+def cohort_to_markdown(batch: BatchResult) -> str:
     """Two display tables (career indices, crossing proxy), 2-decimal floats."""
 
     def f2(x: float) -> str:
@@ -273,9 +276,8 @@ def cohort_to_markdown(batch: BatchResult, tags_by_name: dict[str, list[str]]) -
     )
     out.append("|---|---|---|---|---|---|---|---|---|---|")
     for s in batch.summaries:
-        tags = ";".join(tags_by_name.get(s.name, []))
         out.append(
-            f"| {s.name} | {tags} | {s.n_pubs} | {s.n_cites} | {s.h_index} "
+            f"| {s.name} | {';'.join(s.tags)} | {s.n_pubs} | {s.n_cites} | {s.h_index} "
             f"| {f2(s.g_overall)} | {f2(s.k_overall)} "
             f"| {f2(s.yearly.mean_g)} ± {f2(s.yearly.sd_g)} "
             f"| {f2(s.yearly.mean_k)} ± {f2(s.yearly.sd_k)} "
@@ -302,10 +304,3 @@ def cohort_to_markdown(batch: BatchResult, tags_by_name: dict[str, list[str]]) -
             + (f2(n_flagged_rate) if n_flagged_rate is not None else "n/a")
         )
     return "\n".join(out) + "\n"
-
-
-def write_text(text: str, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path

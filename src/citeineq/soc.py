@@ -28,7 +28,6 @@ CROSS_NO = "No"
 
 @dataclass(frozen=True)
 class SocConfig:
-    soc_mark: float = SOC_MARK
     marginal_tolerance: float = 0.01
     r_threshold: float = 40.0
 
@@ -65,6 +64,7 @@ class CareerSummary:
     peak_ratio: float
     crossing: CrossingResult
     soc_flagged: bool
+    tags: tuple[str, ...]
 
 
 def classify_crossing(series: IndexSeries, config: SocConfig = SocConfig()) -> CrossingResult:
@@ -140,6 +140,7 @@ def career_summary(
         peak_ratio=r,
         crossing=classify_crossing(series, config),
         soc_flagged=r >= config.r_threshold,
+        tags=tuple(profile.tags),
     )
 
 

@@ -1,12 +1,26 @@
 """CLI subcommands, file formats, and exit codes."""
 
 import argparse
+import csv
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from citeineq import SynthSpec, load_manifest, load_profile, report, synth_profile, write_profile
+from citeineq import (
+    IndexSeries,
+    SynthSpec,
+    WindowEntry,
+    load_manifest,
+    load_profile,
+    report,
+    synth_profile,
+    write_profile,
+)
 from citeineq.cli import build_parser, main
+from citeineq.profiles import MAX_YEAR
+from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
 from helpers import CROSSING_WINDOW, make_profile
 
 
@@ -31,7 +45,7 @@ def equal_profile_path(tmp_path):
 
 RUN_FLAGS = {
     "--window-width", "--stride", "--end-year", "--min-pubs",
-    "--soc-mark", "--marginal-tol", "--r-threshold", "--markdown", "--out",
+    "--marginal-tol", "--r-threshold", "--markdown", "--out",
 }
 SUBCOMMAND_FLAGS = {
     "analyze": RUN_FLAGS,
@@ -184,6 +198,22 @@ def test_series_g_outside_unit_interval_is_input_error(tmp_path, capsys, command
     assert code == 1
     assert err.startswith("error: ParseError: line 7:") and err.count("\n") == 1
     assert not out_dir.exists()
+
+
+years = st.integers(1800, 2100)
+unit_floats = st.floats(0.0, 1.0)
+window_counts = st.integers(0, 10**12)
+skip_reasons = st.sampled_from([SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES])
+series_entries = st.one_of(
+    st.builds(WindowEntry, years, unit_floats, unit_floats, window_counts, window_counts, st.just(False)),
+    st.builds(WindowEntry, years, st.none(), st.none(), window_counts, window_counts, st.just(True), skip_reasons),
+)
+
+
+@given(st.lists(series_entries, max_size=12))
+def test_series_csv_round_trip_is_exact(entries):
+    series = IndexSeries(entries=entries)
+    assert report.series_from_csv(report.series_to_csv(series)) == series
 
 
 def test_series_with_utf8_bom_accepted(tmp_path, capsys):
@@ -351,6 +381,22 @@ class TestBatch:
         with pytest.raises(RuntimeError, match="bug"):
             report.run_batch(entries, report.RunConfig())
 
+    def test_cohort_csv_quotes_cells(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=2)
+        entries = json.loads(manifest.read_text())
+        entries[0]["name"], entries[0]["tags"] = "Doe, J", ["x,y"]
+        entries[1]["name"] = "Roe\rK"
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 0 and err == ""
+        with open(out_dir / "cohort.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 3
+        assert all(len(row) == len(report.COHORT_COLUMNS) == 17 for row in rows)
+        assert rows[1][:2] == ["Doe, J", "x,y"]
+        assert rows[2][0] == "Roe\rK"
+
     def test_markdown_cohort(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path)
         out_dir = tmp_path / "out"
@@ -382,6 +428,26 @@ class TestSynthCommand:
         )
         assert code == 0
         assert out_file.read_text().splitlines()[0] == "pub_id,year,citations"
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--model", "equal", "--value", "2000000000"], "value"),
+            *(
+                (["--model", "uniform", "--value", "2000000000", "--seed", str(seed)], "value")
+                for seed in range(1, 5)
+            ),
+            (["--first-year", str(MAX_YEAR + 1), "--last-year", str(MAX_YEAR + 5)], "span_years"),
+            (["--first-year", "1500", "--last-year", "1600"], "span_years"),
+        ],
+        ids=["equal-value", *(f"uniform-value-seed{s}" for s in range(1, 5)), "future-span", "early-span"],
+    )
+    def test_out_of_range_spec_is_bad_spec(self, tmp_path, capsys, argv, field):
+        out_file = tmp_path / "p.json"
+        code, out, err = run(capsys, "synth", *argv, "--out", out_file)
+        assert code == 1
+        assert err.startswith(f"error: BadSpec: {field} ") and err.count("\n") == 1
+        assert not out_file.exists()
 
     def test_bad_spec_is_input_error(self, tmp_path, capsys):
         code, out, err = run(

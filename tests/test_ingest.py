@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citeineq import (
     BadSpec,
@@ -19,10 +21,22 @@ from citeineq import (
     synth_profile,
     write_profile,
 )
-from citeineq.profiles import MAX_CITATIONS
+from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from helpers import gini_pairwise
 
 BOM = b"\xef\xbb\xbf"
+
+publication_lists = st.lists(
+    st.builds(
+        Publication,
+        pub_id=st.text(min_size=1, max_size=6),
+        year=st.integers(MIN_YEAR, MAX_YEAR),
+        citations=st.integers(0, MAX_CITATIONS),
+    ),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda pub: pub.pub_id,
+)
 
 
 def write(tmp_path, name, text):
@@ -183,6 +197,23 @@ class TestRoundTrip:
         if fmt == "json":
             assert reloaded.name == profile.name
             assert reloaded.tags == profile.tags
+
+    @given(publication_lists)
+    def test_csv_round_trip_is_exact(self, tmp_path_factory, pubs):
+        # a CSV profile is named after its file and carries no tags
+        profile = ResearcherProfile(name="p", tags=[], publications=pubs)
+        path = write_profile(profile, tmp_path_factory.mktemp("csv") / "p.csv", fmt="csv")
+        assert load_profile(path) == profile
+
+    @given(st.text(min_size=1), st.lists(st.text()), publication_lists)
+    def test_json_round_trip_is_exact(self, tmp_path_factory, name, tags, pubs):
+        profile = ResearcherProfile(name=name, tags=tags, publications=pubs)
+        path = write_profile(profile, tmp_path_factory.mktemp("json") / "p.json")
+        assert load_profile(path) == profile
+
+    def test_csv_ids_kept_verbatim(self, tmp_path):
+        profile = load_profile(write(tmp_path, "s.csv", "pub_id,year,citations\n a,2001,1\na,2001,2\n"))
+        assert [p.pub_id for p in profile.publications] == [" a", "a"]
 
     def test_canonical_form_is_stable(self, tmp_path):
         text = "pub_id,year,citations\nzz,2001,4\naa,2001,9\nmm,1999,1\n"
