@@ -9,19 +9,26 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import INPUT_ERRORS, CiteIneqError, ValidationError
-from .ingest import SynthSpec, file_stem, load_manifest, load_profile, synth_profile, write_profile
+from .ingest import (
+    PROFILE_SUFFIXES,
+    SynthSpec,
+    file_stem,
+    load_manifest,
+    load_profile,
+    synth_profile,
+    write_profile,
+)
+from .landau import fit_k_vs_g
 from .report import (
     BatchResult,
-    RunConfig,
     analyze_profile,
     cohort_to_csv,
     cohort_to_json,
     cohort_to_markdown,
-    fit_series,
-    fit_to_dict,
     inset_csv,
     read_series_csv,
     run_batch,
@@ -59,16 +66,14 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        window=WindowConfig(
-            width_years=args.window_width,
-            stride_years=args.stride,
-            end_year=args.end_year,
-            min_pubs=args.min_pubs,
-        ),
-        soc=SocConfig(marginal_tolerance=args.marginal_tol, r_threshold=args.r_threshold),
+def _run_config(args: argparse.Namespace) -> tuple[WindowConfig, SocConfig]:
+    window = WindowConfig(
+        width_years=args.window_width,
+        stride_years=args.stride,
+        end_year=args.end_year,
+        min_pubs=args.min_pubs,
     )
+    return window, SocConfig(marginal_tolerance=args.marginal_tol, r_threshold=args.r_threshold)
 
 
 def _write_profile_files(
@@ -83,7 +88,7 @@ def _write_profile_files(
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    series, summary = analyze_profile(load_profile(args.profile), _run_config(args))
+    series, summary = analyze_profile(load_profile(args.profile), *_run_config(args))
     for path in _write_profile_files(series, summary, args.out):
         print(path)
     if args.markdown:
@@ -93,16 +98,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    series = read_series_csv(args.series)
-    fit = fit_series(series)
+    fit = fit_k_vs_g(read_series_csv(args.series).pairs())
     stem = Path(args.series).stem
-    print(write_json(fit_to_dict(fit), args.out / f"{stem}_fit.json"))
+    print(write_json(asdict(fit), args.out / f"{stem}_fit.json"))
     return EXIT_OK
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     series = read_series_csv(args.series)
-    fit = fit_series(series)
+    fit = fit_k_vs_g(series.pairs())
     stem = Path(args.series).stem
     print(write_text(timepanel_csv(series, args.soc_mark), args.out / f"{stem}_timepanel.csv"))
     print(write_text(inset_csv(series, fit), args.out / f"{stem}_inset.csv"))
@@ -110,11 +114,11 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+    window, soc = _run_config(args)
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
-    batch = run_batch(entries, config)
+    batch = run_batch(entries, window, soc)
     for name, exc in batch.failures:
         print(f"error: {type(exc).__name__}: profile {name!r}: {exc}", file=sys.stderr)
     if not batch.summaries:
@@ -141,12 +145,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         value=args.value,
     )
     profile = synth_profile(spec, name=args.name)
-    suffix = args.out.suffix.lower()
-    if suffix in (".csv", ".json"):
-        out, fmt = args.out, suffix[1:]
-    else:
-        out, fmt = args.out / f"{file_stem(profile.name)}.{args.fmt}", args.fmt
-    print(write_profile(profile, out, fmt=fmt))
+    out = args.out
+    if out.suffix.lower() not in PROFILE_SUFFIXES:
+        out = out / f"{file_stem(profile.name)}.{args.fmt}"
+    print(write_profile(profile, out))
     return EXIT_OK
 
 
@@ -178,14 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p)
     p.set_defaults(func=_cmd_batch)
 
+    spec = SynthSpec(model="powerlaw", n_papers=200)
     p = sub.add_parser("synth", help="generate a deterministic synthetic profile")
-    p.add_argument("--model", choices=["powerlaw", "uniform", "equal"], default="powerlaw")
-    p.add_argument("--n-papers", type=int, default=200)
-    p.add_argument("--exponent", type=float, default=2.5)
-    p.add_argument("--first-year", type=int, default=1990)
-    p.add_argument("--last-year", type=int, default=2020)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--value", type=int, default=100, help="equal/uniform citation level")
+    p.add_argument("--model", choices=["powerlaw", "uniform", "equal"], default=spec.model)
+    p.add_argument("--n-papers", type=int, default=spec.n_papers)
+    p.add_argument("--exponent", type=float, default=spec.exponent)
+    p.add_argument("--first-year", type=int, default=spec.span_years[0])
+    p.add_argument("--last-year", type=int, default=spec.span_years[1])
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--value", type=int, default=spec.value, help="equal/uniform citation level")
     p.add_argument("--name", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt",
                    help="used when --out is a directory")

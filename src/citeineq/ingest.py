@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -30,11 +31,17 @@ from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, Researcher
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
 
+#: A JSON escape of a UTF-16 surrogate, which is valid UTF-8 only as half of a pair.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+#: Profile file suffixes; the suffix picks the format for reading and writing.
+PROFILE_SUFFIXES = (".csv", ".json")
+
 
 def load_profile(path) -> ResearcherProfile:
     """Load a researcher profile from a CSV or JSON file.
 
-    The format is chosen by file extension.  Rows are validated by
+    The format is chosen by the file suffix.  Rows are validated by
     ``Publication`` and the profile by ``ResearcherProfile``; a row error
     names its CSV line or JSON ``publications`` index.  The resulting
     profile is in canonical (year, pub_id) order.
@@ -42,12 +49,15 @@ def load_profile(path) -> ResearcherProfile:
     path = Path(path)
     if not path.is_file():
         raise ParseError(f"profile file not found: {path}")
+    return _load_csv(path) if _profile_format(path) == ".csv" else _load_json(path)
+
+
+def _profile_format(path: Path) -> str:
+    """The lowercased suffix of a profile path, one of ``PROFILE_SUFFIXES``."""
     suffix = path.suffix.lower()
-    if suffix == ".csv":
-        return _load_csv(path)
-    if suffix == ".json":
-        return _load_json(path)
-    raise ParseError(f"unrecognized profile format {suffix!r} (expected .csv or .json): {path}")
+    if suffix not in PROFILE_SUFFIXES:
+        raise ParseError(f"unrecognized profile format {suffix!r} (expected .csv or .json): {path}")
+    return suffix
 
 
 def _parse_int(text: str, what: str, line: int) -> int:
@@ -78,9 +88,16 @@ def read_text(path, what: str) -> str:
 def _read_json(path: Path, what: str):
     text = read_text(path, what)
     try:
-        return json.loads(text)
+        doc = json.loads(text)
+        # an unpaired surrogate cannot be written out as UTF-8; most files hold
+        # no backslash, and that test is far cheaper than the regex
+        if "\\" in text and _SURROGATE_ESCAPE.search(text):
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except UnicodeEncodeError:
+        raise ParseError("invalid JSON: a string holds an unpaired surrogate escape") from None
     except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
         raise ParseError(f"invalid JSON: {exc}") from None
 
@@ -148,18 +165,20 @@ def _load_json(path: Path) -> ResearcherProfile:
     return ResearcherProfile(name=name, tags=list(tags), publications=pubs)
 
 
-def write_profile(profile: ResearcherProfile, path, fmt: str = "json") -> Path:
-    """Write a profile in canonical form; reloading yields an equal profile."""
+def write_profile(profile: ResearcherProfile, path) -> Path:
+    """Write a profile in canonical form, in the format its suffix names;
+    reloading yields an equal profile."""
     path = Path(path)
+    fmt = _profile_format(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
+    if fmt == ".csv":
         def rows():
             yield CSV_HEADER
             for pub in profile.publications:
                 yield [pub.pub_id, pub.year, pub.citations]
 
         path.write_text(csv_text(rows), encoding="utf-8", newline="")
-    elif fmt == "json":
+    else:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "name": profile.name,
@@ -170,8 +189,6 @@ def write_profile(profile: ResearcherProfile, path, fmt: str = "json") -> Path:
             ],
         }
         path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    else:
-        raise ValidationError(f"unknown profile format {fmt!r} (expected csv or json)")
     return path
 
 
@@ -209,12 +226,17 @@ def load_manifest(path) -> list[ManifestEntry]:
     for i, rec in enumerate(doc):
         if not isinstance(rec, dict) or "name" not in rec or "path" not in rec:
             raise ParseError(f"manifest[{i}] must have name and path")
+        for key in ("name", "path"):
+            if not isinstance(rec[key], str) or not rec[key]:
+                raise ValidationError(f"manifest[{i}]: {key} must be a nonempty string")
+        if "\0" in rec["path"]:
+            raise ValidationError(f"manifest[{i}]: path holds a NUL character")
         tags = rec.get("tags", [])
         if not isinstance(tags, list) or any(not isinstance(t, str) for t in tags):
             raise ValidationError(f"manifest[{i}]: tags must be an array of strings")
         entries.append(
             ManifestEntry(
-                name=str(rec["name"]),
+                name=rec["name"],
                 path=(path.parent / rec["path"]).resolve(),
                 tags=tuple(tags),
             )

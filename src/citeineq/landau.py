@@ -94,7 +94,7 @@ def fit_k_vs_g(points) -> FitResult:
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
-        raise DegenerateFit("need at least 2 (g, k) points")
+        raise DegenerateFit(f"need at least 2 (g, k) points, got {len(pts)}")
     g, k = pts[:, 0], pts[:, 1]
     gg = float(np.dot(g, g))
     if gg == 0.0:

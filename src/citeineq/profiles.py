@@ -9,7 +9,6 @@ file order, and keeps the sorted ``years`` and ``citations`` as int64 columns.
 
 from __future__ import annotations
 
-import datetime
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -19,8 +18,8 @@ from .errors import EmptyProfile, ValidationError
 
 MIN_YEAR = 1800
 
-#: Latest accepted publication year, read once at import rather than per row.
-MAX_YEAR = datetime.date.today().year
+#: Latest accepted publication year; a constant, so no result depends on the date.
+MAX_YEAR = 2100
 
 #: Largest accepted citation count; int64 sums stay exact below 9.2e9 papers.
 MAX_CITATIONS = 10**9

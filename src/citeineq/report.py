@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CiteIneqError, DegenerateFit, ParseError
+from .errors import CiteIneqError, ParseError
 from .ingest import ManifestEntry, load_profile, csv_text, read_text
-from .landau import FitResult, fit_k_vs_g
+from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
 
@@ -23,15 +23,6 @@ SERIES_HEADER = "central_year,g,k,n_pubs,n_cites,skipped"
 
 #: Number of samples of the fitted line in the inset panel, endpoints included.
 INSET_LINE_SAMPLES = 50
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Analysis settings of ``analyze`` and ``batch``; defaults reproduce the
-    5-year/2022 windowing, the 0.01 marginal tolerance and the R >= 40 flag."""
-
-    window: WindowConfig = field(default_factory=WindowConfig)
-    soc: SocConfig = field(default_factory=SocConfig)
 
 
 def _fnum(value: float | None) -> str:
@@ -43,9 +34,8 @@ def _fnum(value: float | None) -> str:
 def series_to_csv(series: IndexSeries) -> str:
     lines = [SERIES_HEADER]
     for e in series.entries:
-        skipped = e.reason or "" if e.skipped else ""
         lines.append(
-            f"{e.central_year},{_fnum(e.g)},{_fnum(e.k)},{e.n_pubs},{e.n_cites},{skipped}"
+            f"{e.central_year},{_fnum(e.g)},{_fnum(e.k)},{e.n_pubs},{e.n_cites},{e.reason or ''}"
         )
     return "\n".join(lines) + "\n"
 
@@ -69,13 +59,15 @@ def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
         except ValueError as exc:
             raise ParseError(f"{source}: {exc}", line=lineno) from None
         if skipped_s:
-            entries.append(WindowEntry(year, None, None, n_pubs, n_cites, True, skipped_s))
+            if g is not None or k is not None:
+                raise ParseError(f"{source}: skipped row has g or k", line=lineno)
+            entries.append(WindowEntry(year, None, None, n_pubs, n_cites, skipped_s))
         elif g is None or k is None:
             raise ParseError(f"{source}: non-skipped row missing g or k", line=lineno)
         elif not (0.0 <= g <= 1.0 and 0.0 <= k <= 1.0):  # also false for nan
             raise ParseError(f"{source}: g and k must lie in [0, 1], got {g!r}, {k!r}", line=lineno)
         else:
-            entries.append(WindowEntry(year, g, k, n_pubs, n_cites, False))
+            entries.append(WindowEntry(year, g, k, n_pubs, n_cites))
     return IndexSeries(entries=entries)
 
 
@@ -109,16 +101,6 @@ def summary_to_dict(summary: CareerSummary) -> dict:
     }
 
 
-def fit_to_dict(fit: FitResult) -> dict:
-    return {
-        "c": fit.c,
-        "intercept_fixed": fit.intercept_fixed,
-        "residual_rms": fit.residual_rms,
-        "g_star": fit.g_star,
-        "n_points": fit.n_points,
-    }
-
-
 def write_text(text: str, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -132,18 +114,12 @@ def write_json(payload: dict, path) -> Path:
 
 # --- analyze / fit / plotdata ---------------------------------------------
 
-def analyze_profile(profile, config: RunConfig) -> tuple[IndexSeries, CareerSummary]:
+def analyze_profile(
+    profile, window: WindowConfig, soc: SocConfig
+) -> tuple[IndexSeries, CareerSummary]:
     """Window series plus career summary; batch rows go through this too."""
-    series = window_series(profile, config.window)
-    return series, career_summary(profile, series, config.soc)
-
-
-def fit_series(series: IndexSeries) -> FitResult:
-    """Fit k = 1/2 + c*g over the non-skipped entries of a series."""
-    pairs = series.pairs()
-    if len(pairs) < 2:
-        raise DegenerateFit(f"series has {len(pairs)} usable row(s); need at least 2")
-    return fit_k_vs_g(pairs)
+    series = window_series(profile, window)
+    return series, career_summary(profile, series, soc)
 
 
 def timepanel_csv(series: IndexSeries, soc_mark: float) -> str:
@@ -211,21 +187,23 @@ class BatchResult:
         return agg
 
 
-def _analyze_entry(entry: ManifestEntry, config: RunConfig) -> tuple[IndexSeries, CareerSummary]:
+def _analyze_entry(
+    entry: ManifestEntry, window: WindowConfig, soc: SocConfig
+) -> tuple[IndexSeries, CareerSummary]:
     """Load and analyze one entry; its profile is freed on return, before the
     next entry loads, so a batch holds one profile at a time."""
     profile = load_profile(entry.path)
     profile.name = entry.name
     profile.tags = list(entry.tags)
-    return analyze_profile(profile, config)
+    return analyze_profile(profile, window, soc)
 
 
-def run_batch(entries: list[ManifestEntry], config: RunConfig) -> BatchResult:
+def run_batch(entries: list[ManifestEntry], window: WindowConfig, soc: SocConfig) -> BatchResult:
     """Analyze every manifest entry, collecting failures without stopping."""
     batch = BatchResult(summaries=[], failures=[])
     for entry in entries:
         try:
-            series, summary = _analyze_entry(entry, config)
+            series, summary = _analyze_entry(entry, window, soc)
         except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
             batch.failures.append((entry.name, exc))
         else:
@@ -263,6 +241,12 @@ def cohort_to_json(batch: BatchResult) -> dict:
     }
 
 
+def _md_cell(text: str) -> str:
+    """Text as one Markdown table cell: backslashes and pipes escaped, line
+    breaks turned into spaces."""
+    return " ".join(text.replace("\\", "\\\\").replace("|", "\\|").splitlines())
+
+
 def cohort_to_markdown(batch: BatchResult) -> str:
     """Two display tables (career indices, crossing proxy), 2-decimal floats."""
 
@@ -277,7 +261,8 @@ def cohort_to_markdown(batch: BatchResult) -> str:
     out.append("|---|---|---|---|---|---|---|---|---|---|")
     for s in batch.summaries:
         out.append(
-            f"| {s.name} | {';'.join(s.tags)} | {s.n_pubs} | {s.n_cites} | {s.h_index} "
+            f"| {_md_cell(s.name)} | {_md_cell(';'.join(s.tags))} "
+            f"| {s.n_pubs} | {s.n_cites} | {s.h_index} "
             f"| {f2(s.g_overall)} | {f2(s.k_overall)} "
             f"| {f2(s.yearly.mean_g)} ± {f2(s.yearly.sd_g)} "
             f"| {f2(s.yearly.mean_k)} ± {f2(s.yearly.sd_k)} "
@@ -288,7 +273,7 @@ def cohort_to_markdown(batch: BatchResult) -> str:
     out.append("|---|---|---|---|---|---|")
     for s in batch.summaries:
         out.append(
-            f"| {s.name} | {s.max_citations} | {f2(s.cites_per_paper)} "
+            f"| {_md_cell(s.name)} | {s.max_citations} | {f2(s.cites_per_paper)} "
             f"| {f2(s.peak_ratio)} | {'yes' if s.soc_flagged else 'no'} "
             f"| {s.crossing.classification} |"
         )

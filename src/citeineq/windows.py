@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllSkipped, EmptyProfile, NoWindows, ValidationError
+from .errors import AllSkipped, NoWindows, ValidationError
 from .lorenz import IndexPair, index_pair
 from .profiles import ResearcherProfile
 
@@ -39,15 +39,19 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class WindowEntry:
-    """One window of the series; g and k are None when skipped."""
+    """One window of the series; a window is skipped when it has a reason,
+    and then its g and k are None."""
 
     central_year: int
     g: float | None
     k: float | None
     n_pubs: int
     n_cites: int
-    skipped: bool
     reason: str | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.reason is not None
 
 
 @dataclass
@@ -57,7 +61,7 @@ class IndexSeries:
     entries: list[WindowEntry] = field(default_factory=list)
 
     def valid_entries(self) -> list[WindowEntry]:
-        return [e for e in self.entries if not e.skipped]
+        return [e for e in self.entries if e.reason is None]
 
     def pairs(self) -> list[IndexPair]:
         """The (g, k) pairs of the non-skipped entries, in year order."""
@@ -85,13 +89,9 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
 
     Raises
     ------
-    EmptyProfile
-        If the profile has no publications.
     NoWindows
         If even the first window would end past ``config.end_year``.
     """
-    if not profile.publications:
-        raise EmptyProfile(f"profile {profile.name!r} has no publications")
     years, citations = profile.years, profile.citations
     first = int(years[0])
     width, stride = config.width_years, config.stride_years
@@ -112,13 +112,13 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
         central = start + width // 2
         n_pubs = b - a
         if n_pubs == 0:
-            entry = WindowEntry(central, None, None, 0, 0, True, SKIP_NO_PUBS)
+            entry = WindowEntry(central, None, None, 0, 0, SKIP_NO_PUBS)
         elif n_pubs < config.min_pubs:
-            entry = WindowEntry(central, None, None, n_pubs, n_cites, True, SKIP_TOO_FEW)
+            entry = WindowEntry(central, None, None, n_pubs, n_cites, SKIP_TOO_FEW)
         elif n_cites == 0:
-            entry = WindowEntry(central, None, None, n_pubs, 0, True, SKIP_ZERO_CITES)
+            entry = WindowEntry(central, None, None, n_pubs, 0, SKIP_ZERO_CITES)
         else:
-            entry = WindowEntry(central, *index_pair(citations[a:b]), n_pubs, n_cites, False)
+            entry = WindowEntry(central, *index_pair(citations[a:b]), n_pubs, n_cites)
         entries.append(entry)
     return IndexSeries(entries=entries)
 

@@ -41,7 +41,7 @@ def make_profile(citations_by_year: dict[int, list[int]], name: str = "test") ->
 def series_from_pairs(pairs, start_year: int = 2000) -> IndexSeries:
     """Build a valid-entry series directly from (g, k) pairs."""
     entries = [
-        WindowEntry(start_year + i, float(g), float(k), 10, 100, False)
+        WindowEntry(start_year + i, float(g), float(k), 10, 100)
         for i, (g, k) in enumerate(pairs)
     ]
     return IndexSeries(entries=entries)

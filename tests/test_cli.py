@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from citeineq import (
     IndexSeries,
+    SocConfig,
     SynthSpec,
+    WindowConfig,
     WindowEntry,
     load_manifest,
     load_profile,
@@ -34,7 +37,7 @@ def run(capsys, *argv):
 def spike_profile_path(tmp_path):
     """One 4-publication window holding [0, 0, 0, 10]."""
     profile = make_profile({2000: [0, 0], 2001: [0, 10]}, name="spike")
-    return write_profile(profile, tmp_path / "spike.csv", fmt="csv")
+    return write_profile(profile, tmp_path / "spike.csv")
 
 
 @pytest.fixture
@@ -107,7 +110,7 @@ class TestAnalyze:
     def test_all_windows_skipped_is_computation_error(self, tmp_path, capsys):
         # publications 8 years apart never share a 5-year window
         profile = make_profile({2000: [5], 2008: [6]}, name="sparse")
-        path = write_profile(profile, tmp_path / "sparse.csv", fmt="csv")
+        path = write_profile(profile, tmp_path / "sparse.csv")
         code, out, err = run(capsys, "analyze", path, "--out", tmp_path, "--end-year", "2012")
         assert code == 2
         assert err.startswith("error: AllSkipped:")
@@ -205,8 +208,8 @@ unit_floats = st.floats(0.0, 1.0)
 window_counts = st.integers(0, 10**12)
 skip_reasons = st.sampled_from([SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES])
 series_entries = st.one_of(
-    st.builds(WindowEntry, years, unit_floats, unit_floats, window_counts, window_counts, st.just(False)),
-    st.builds(WindowEntry, years, st.none(), st.none(), window_counts, window_counts, st.just(True), skip_reasons),
+    st.builds(WindowEntry, years, unit_floats, unit_floats, window_counts, window_counts),
+    st.builds(WindowEntry, years, st.none(), st.none(), window_counts, window_counts, skip_reasons),
 )
 
 
@@ -214,6 +217,20 @@ series_entries = st.one_of(
 def test_series_csv_round_trip_is_exact(entries):
     series = IndexSeries(entries=entries)
     assert report.series_from_csv(report.series_to_csv(series)) == series
+
+
+@pytest.mark.parametrize("command", ["fit", "plotdata"])
+def test_skipped_series_row_with_g_or_k_is_input_error(tmp_path, capsys, command):
+    lines = ["central_year,g,k,n_pubs,n_cites,skipped"]
+    lines += [f"{2000 + i},0.{50 + i},0.{70 + i},5,50," for i in range(5)]
+    lines.append("2005,0.5,0.6,3,9,zero_citations")
+    series_path = tmp_path / "s.csv"
+    series_path.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, series_path, "--out", out_dir)
+    assert code == 1
+    assert err.startswith("error: ParseError: line 7:") and "skipped row has g or k" in err
+    assert not out_dir.exists()
 
 
 def test_series_with_utf8_bom_accepted(tmp_path, capsys):
@@ -364,6 +381,33 @@ class TestBatch:
         assert "'J Doe'" in err and "'j-doe'" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("path", 5), ("path", None), ("name", 5), ("name", ""), ("path", "cohort/\0.json")],
+        ids=["path-int", "path-null", "name-int", "name-empty", "path-nul"],
+    )
+    def test_manifest_name_and_path_must_be_strings(self, tmp_path, capsys, key, value):
+        manifest = build_cohort(tmp_path, n_profiles=1)
+        entries = json.loads(manifest.read_text())
+        entries[0][key] = value
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert err.startswith(f"error: ValidationError: manifest[0]: {key} ") and err.count("\n") == 1
+        assert not out_dir.exists()
+
+    def test_unpaired_surrogate_in_manifest_name_refused(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=1)
+        entries = json.loads(manifest.read_text())
+        entries[0]["name"] = "\ud800"
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert err.startswith("error: ParseError: invalid JSON:") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_deep_manifest_is_one_line_parse_error(self, tmp_path, capsys):
         manifest = tmp_path / "m.json"
         manifest.write_text("[" * 100_000)
@@ -379,7 +423,7 @@ class TestBatch:
 
         monkeypatch.setattr(report, "window_series", broken)
         with pytest.raises(RuntimeError, match="bug"):
-            report.run_batch(entries, report.RunConfig())
+            report.run_batch(entries, WindowConfig(), SocConfig())
 
     def test_cohort_csv_quotes_cells(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path, n_profiles=2)
@@ -396,6 +440,32 @@ class TestBatch:
         assert all(len(row) == len(report.COHORT_COLUMNS) == 17 for row in rows)
         assert rows[1][:2] == ["Doe, J", "x,y"]
         assert rows[2][0] == "Roe\rK"
+
+    def test_markdown_cells_escaped(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path)
+        entries = json.loads(manifest.read_text())
+        entries[0]["name"], entries[0]["tags"] = "A|B", ["x|y", "z\\"]
+        entries[1]["name"] = "C\\|D"
+        entries[2]["name"] = "E\nF\r\nG"
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir, "--markdown")
+        assert code == 0 and err == ""
+        lines = (out_dir / "cohort.md").read_text().splitlines()
+        tables = [[]]
+        for line in lines:
+            if line.startswith("|"):
+                tables[-1].append(line)
+            elif tables[-1]:
+                tables.append([])
+        tables = [t for t in tables if t]
+        assert [len(t) for t in tables] == [5, 5]
+        for header, *rows in tables:
+            for row in rows:
+                # a backslash escapes the character after it, a pipe included
+                assert re.sub(r"\\.", "", row).count("|") == header.count("|"), row
+        assert "| A\\|B | x\\|y;z\\\\ |" in lines[4]
+        assert "| E F G |" in lines[6]
 
     def test_markdown_cohort(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path)

@@ -114,6 +114,12 @@ class TestCsvLoading:
         with pytest.raises(ValidationError, match="line 3: .*citations"):
             load_profile(write(tmp_path, "over.csv", text))
 
+    def test_year_bound_is_2100(self, tmp_path):
+        text = "pub_id,year,citations\np1,2001,1\np2,{},3\n"
+        assert load_profile(write(tmp_path, "ok.csv", text.format(2100))).years.tolist() == [2001, 2100]
+        with pytest.raises(ValidationError, match=r"^line 3: .*year 2101"):
+            load_profile(write(tmp_path, "late.csv", text.format(2101)))
+
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(BOM + GOOD_CSV.encode())
@@ -180,6 +186,21 @@ class TestJsonLoading:
         path.write_bytes(BOM + json.dumps(self.doc()).encode())
         assert load_profile(path).name == "J Doe"
 
+    @pytest.mark.parametrize("field", ["name", "tags", "id"])
+    def test_unpaired_surrogate_escape_rejected(self, tmp_path, field):
+        doc = self.doc()
+        if field == "id":
+            doc["publications"][0]["id"] = "\ud800"
+        else:
+            doc[field] = "\udfff" if field == "name" else ["\ud83d"]
+        with pytest.raises(ParseError, match="unpaired surrogate"):
+            load_profile(write(tmp_path, "s.json", json.dumps(doc)))
+
+    def test_surrogate_pair_escape_accepted(self, tmp_path):
+        path = write(tmp_path, "pair.json", json.dumps(self.doc(name="J \U0001f600")))
+        assert "\\ud83d\\ude00" in path.read_text()
+        assert load_profile(path).name == "J \U0001f600"
+
     def test_missing_publication_field(self, tmp_path):
         doc = self.doc(publications=[{"id": "x", "year": 2001}])
         with pytest.raises(ParseError):
@@ -191,7 +212,7 @@ class TestRoundTrip:
     def test_write_then_load_is_identity(self, tmp_path, fmt):
         spec = SynthSpec(model="powerlaw", n_papers=40, exponent=2.2, seed=9)
         profile = synth_profile(spec)
-        path = write_profile(profile, tmp_path / f"out.{fmt}", fmt=fmt)
+        path = write_profile(profile, tmp_path / f"out.{fmt}")
         reloaded = load_profile(path)
         assert reloaded.publications == profile.publications
         if fmt == "json":
@@ -202,7 +223,7 @@ class TestRoundTrip:
     def test_csv_round_trip_is_exact(self, tmp_path_factory, pubs):
         # a CSV profile is named after its file and carries no tags
         profile = ResearcherProfile(name="p", tags=[], publications=pubs)
-        path = write_profile(profile, tmp_path_factory.mktemp("csv") / "p.csv", fmt="csv")
+        path = write_profile(profile, tmp_path_factory.mktemp("csv") / "p.csv")
         assert load_profile(path) == profile
 
     @given(st.text(min_size=1), st.lists(st.text()), publication_lists)
@@ -215,13 +236,25 @@ class TestRoundTrip:
         profile = load_profile(write(tmp_path, "s.csv", "pub_id,year,citations\n a,2001,1\na,2001,2\n"))
         assert [p.pub_id for p in profile.publications] == [" a", "a"]
 
+    @pytest.mark.parametrize("name", ["x.csv", "x.JSON"])
+    def test_suffix_picks_written_format(self, tmp_path, name):
+        profile = synth_profile(SynthSpec(model="uniform", n_papers=5, seed=3))
+        reloaded = load_profile(write_profile(profile, tmp_path / name))
+        assert reloaded.publications == profile.publications
+
+    def test_unknown_suffix_not_written(self, tmp_path):
+        profile = synth_profile(SynthSpec(model="uniform", n_papers=5, seed=3))
+        with pytest.raises(ParseError, match="unrecognized profile format '.txt'"):
+            write_profile(profile, tmp_path / "x.txt")
+        assert not (tmp_path / "x.txt").exists()
+
     def test_canonical_form_is_stable(self, tmp_path):
         text = "pub_id,year,citations\nzz,2001,4\naa,2001,9\nmm,1999,1\n"
         first = load_profile(write(tmp_path, "v.csv", text))
-        write_profile(first, tmp_path / "w.csv", fmt="csv")
+        write_profile(first, tmp_path / "w.csv")
         second = load_profile(tmp_path / "w.csv")
         assert second.publications == first.publications
-        write_profile(second, tmp_path / "x.csv", fmt="csv")
+        write_profile(second, tmp_path / "x.csv")
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
 
 

@@ -119,6 +119,11 @@ class TestFit:
         with pytest.raises(DegenerateFit):
             fit_k_vs_g([(0.5, 0.7)])
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_points_message_gives_count(self, n):
+        with pytest.raises(DegenerateFit, match=f"^need at least 2 \\(g, k\\) points, got {n}$"):
+            fit_k_vs_g([(0.5, 0.7)] * n)
+
     def test_all_zero_g_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_k_vs_g([(0.0, 0.5), (0.0, 0.6)])

@@ -51,7 +51,7 @@ class TestClassifyCrossing:
         assert result.min_gap == pytest.approx(0.12)
 
     def test_all_skipped(self):
-        series = IndexSeries(entries=[WindowEntry(2000, None, None, 1, 3, True, "too_few")])
+        series = IndexSeries(entries=[WindowEntry(2000, None, None, 1, 3, "too_few")])
         with pytest.raises(AllSkipped):
             classify_crossing(series)
 
@@ -80,7 +80,7 @@ class TestClassifyCrossing:
         series = series_from_pairs(pairs)
         padded = IndexSeries(
             entries=series.entries
-            + [WindowEntry(2400, None, None, 0, 0, True, "no_publications")]
+            + [WindowEntry(2400, None, None, 0, 0, "no_publications")]
         )
         assert classify_crossing(padded) == classify_crossing(series)
 

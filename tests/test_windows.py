@@ -1,5 +1,7 @@
 """Sliding-window series construction and yearly averages."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,10 +15,12 @@ from citeineq import (
     ResearcherProfile,
     ValidationError,
     WindowConfig,
+    WindowEntry,
     index_pair,
     window_series,
     yearly_average,
 )
+from citeineq.windows import SKIP_NO_PUBS
 from helpers import citations_in, make_profile, series_from_pairs
 
 # year -> citation lists drawn like modest careers
@@ -68,6 +72,11 @@ class TestWindowSeries:
         first = series.entries[0]
         assert first.skipped and first.reason == "zero_citations"
         assert first.n_pubs == 3 and first.n_cites == 0
+
+    def test_skip_state_is_the_reason(self):
+        assert "skipped" not in {f.name for f in fields(WindowEntry)}
+        assert WindowEntry(2000, None, None, 0, 0, SKIP_NO_PUBS).skipped
+        assert not WindowEntry(2000, 0.5, 0.6, 3, 9).skipped
 
     def test_no_windows(self):
         profile = make_profile({2021: [4, 5]})
