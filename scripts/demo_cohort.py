@@ -7,6 +7,8 @@ per-profile series + summaries, cohort tables, a k-vs-g fit, and
 plot-ready panels for the first heavy-tailed profile.
 
 Usage: python scripts/demo_cohort.py [--out DIR] [--seed N]
+
+DIR must be new or empty.
 """
 
 import argparse
@@ -52,6 +54,10 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=Path("out/demo"))
     parser.add_argument("--seed", type=int, default=1000)
     args = parser.parse_args()
+    # citeineq replaces no output file, so a second run into one --out would fail midway
+    if args.out.exists() and (not args.out.is_dir() or any(args.out.iterdir())):
+        print(f"error: --out {args.out} exists and is not an empty directory", file=sys.stderr)
+        return 1
     args.out.mkdir(parents=True, exist_ok=True)
 
     manifest = build_cohort(args.out, args.seed)

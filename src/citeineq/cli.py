@@ -3,6 +3,8 @@
 Every failure path exits nonzero after printing a single diagnostic line
 of the form ``error: <ErrorType>: <message>`` to stderr.  Exit codes:
 0 success, 1 input error, 2 computation error, 3 partial batch failure.
+No command replaces an existing file: each checks every path it will write
+before writing the first.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from .ingest import (
     file_stem,
     load_manifest,
     load_profile,
+    refuse_existing,
     synth_profile,
     write_profile,
+    write_text,
 )
 from .landau import fit_k_vs_g
 from .report import (
@@ -36,7 +40,6 @@ from .report import (
     summary_to_dict,
     timepanel_csv,
     write_json,
-    write_text,
 )
 from .soc import SOC_MARK, CareerSummary, SocConfig
 from .windows import IndexSeries, WindowConfig
@@ -76,24 +79,29 @@ def _run_config(args: argparse.Namespace) -> tuple[WindowConfig, SocConfig]:
     return window, SocConfig(marginal_tolerance=args.marginal_tol, r_threshold=args.r_threshold)
 
 
-def _write_profile_files(
-    series: IndexSeries, summary: CareerSummary, directory: Path
-) -> tuple[Path, Path]:
-    """Write ``{stem}_series.csv`` and ``{stem}_summary.json`` of one profile."""
-    stem = file_stem(summary.name)
-    return (
-        write_text(series_to_csv(series), directory / f"{stem}_series.csv"),
-        write_json(summary_to_dict(summary), directory / f"{stem}_summary.json"),
-    )
+def _profile_paths(name: str, directory: Path) -> list[Path]:
+    """``{stem}_series.csv`` and ``{stem}_summary.json`` of the profile ``name``."""
+    stem = file_stem(name)
+    return [directory / f"{stem}_series.csv", directory / f"{stem}_summary.json"]
+
+
+def _write_profile_files(series: IndexSeries, summary: CareerSummary, paths: list[Path]) -> None:
+    write_text(series_to_csv(series), paths[0])
+    write_json(summary_to_dict(summary), paths[1])
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    series, summary = analyze_profile(load_profile(args.profile), *_run_config(args))
-    for path in _write_profile_files(series, summary, args.out):
-        print(path)
+    profile = load_profile(args.profile)
+    paths = _profile_paths(profile.name, args.out)
     if args.markdown:
-        md = cohort_to_markdown(BatchResult([summary], []))
-        print(write_text(md, args.out / f"{file_stem(summary.name)}_summary.md"))
+        paths.append(args.out / f"{file_stem(profile.name)}_summary.md")
+    refuse_existing(paths)
+    series, summary = analyze_profile(profile, *_run_config(args))
+    _write_profile_files(series, summary, paths)
+    if args.markdown:
+        write_text(cohort_to_markdown(BatchResult([summary], [])), paths[2])
+    for path in paths:
+        print(path)
     return EXIT_OK
 
 
@@ -108,8 +116,10 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     series = read_series_csv(args.series)
     fit = fit_k_vs_g(series.pairs())
     stem = Path(args.series).stem
-    print(write_text(timepanel_csv(series, args.soc_mark), args.out / f"{stem}_timepanel.csv"))
-    print(write_text(inset_csv(series, fit), args.out / f"{stem}_inset.csv"))
+    timepanel, inset = args.out / f"{stem}_timepanel.csv", args.out / f"{stem}_inset.csv"
+    refuse_existing([timepanel, inset])
+    print(write_text(timepanel_csv(series, args.soc_mark), timepanel))
+    print(write_text(inset_csv(series, fit), inset))
     return EXIT_OK
 
 
@@ -118,20 +128,26 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
+    profile_paths = {e.name: _profile_paths(e.name, args.out / "profiles") for e in entries}
+    cohort_paths = [args.out / "cohort.csv", args.out / "cohort.json"]
+    if args.markdown:
+        cohort_paths.append(args.out / "cohort.md")
+    refuse_existing(cohort_paths + [path for paths in profile_paths.values() for path in paths])
     batch = run_batch(entries, window, soc)
     for name, exc in batch.failures:
         print(f"error: {type(exc).__name__}: profile {name!r}: {exc}", file=sys.stderr)
     if not batch.summaries:
         print("error: BatchFailed: every profile in the batch failed", file=sys.stderr)
-        return EXIT_COMPUTE
+        # EXIT_COMPUTE if any failure is a computation error, else EXIT_INPUT
+        return max(_exit_code(exc) for _, exc in batch.failures)
 
     for series, summary in zip(batch.series, batch.summaries):
-        _write_profile_files(series, summary, args.out / "profiles")
+        _write_profile_files(series, summary, profile_paths[summary.name])
 
-    print(write_text(cohort_to_csv(batch), args.out / "cohort.csv"))
-    print(write_json(cohort_to_json(batch), args.out / "cohort.json"))
+    print(write_text(cohort_to_csv(batch), cohort_paths[0]))
+    print(write_json(cohort_to_json(batch), cohort_paths[1]))
     if args.markdown:
-        print(write_text(cohort_to_markdown(batch), args.out / "cohort.md"))
+        print(write_text(cohort_to_markdown(batch), cohort_paths[2]))
     return EXIT_PARTIAL if batch.failures else EXIT_OK
 
 
@@ -198,14 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int:
+    """``EXIT_COMPUTE`` for a computation error, ``EXIT_INPUT`` for an input or OS error."""
+    computed = isinstance(exc, CiteIneqError) and not isinstance(exc, INPUT_ERRORS)
+    return EXIT_COMPUTE if computed else EXIT_INPUT
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CiteIneqError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        computed = isinstance(exc, CiteIneqError) and not isinstance(exc, INPUT_ERRORS)
-        return EXIT_COMPUTE if computed else EXIT_INPUT
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

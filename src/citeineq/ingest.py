@@ -12,6 +12,10 @@ paths resolve relative to the manifest file and whose names give distinct
 output file stems.  There is deliberately no network ingestion; snapshots
 must be exported to files first.  Every input file is read as UTF-8 with an
 optional BOM; undecodable bytes raise ``ParseError``.
+
+This module also holds the package's one CSV reader (``csv_rows``), CSV
+writer (``csv_text``) and file writer (``write_text``), which every output
+goes through and which never replaces an existing file.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,9 +51,7 @@ def load_profile(path) -> ResearcherProfile:
     names its CSV line or JSON ``publications`` index.  The resulting
     profile is in canonical (year, pub_id) order.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"profile file not found: {path}")
+    path = _input_file(path, "profile")
     return _load_csv(path) if _profile_format(path) == ".csv" else _load_json(path)
 
 
@@ -71,18 +74,55 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"not UTF-8 text ({exc.reason}): {path}")
 
 
+def _input_file(path, what: str) -> Path:
+    """``path`` as a ``Path``; ``ParseError`` naming ``what`` unless it is a regular file."""
+    path = Path(path)
+    if not path.is_file():
+        problem = "path is not a regular file" if path.exists() else "file not found"
+        raise ParseError(f"{what} {problem}: {path}")
+    return path
+
+
 def read_text(path, what: str) -> str:
     """Read a whole UTF-8 file, dropping a leading BOM.
 
-    A missing file or undecodable bytes raise ``ParseError`` naming ``what``.
+    A path that is not a regular file, or undecodable bytes, raise
+    ``ParseError`` naming ``what``.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise ParseError(f"{what} file not found: {path}")
+    path = _input_file(path, what)
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+
+
+def refuse_existing(paths) -> None:
+    """Raise ``ValidationError`` if any of ``paths`` exists: no output is replaced."""
+    for path in paths:
+        if os.path.lexists(path):
+            raise ValidationError(f"output file already exists: {path}")
+
+
+def write_text(text: str, path) -> Path:
+    """Write ``text`` as UTF-8 with LF line ends to a new file ``path``.
+
+    An existing ``path`` is refused.  The text goes to a temporary file in the
+    same directory, which is then renamed onto ``path``; a failed write removes
+    it, so ``path`` is either absent or complete.  There is no fsync: the file
+    is complete after a crash of this program, not of the machine.
+    """
+    path = Path(path)
+    refuse_existing([path])
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "x", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 def _read_json(path: Path, what: str):
@@ -102,38 +142,43 @@ def _read_json(path: Path, what: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
+def csv_rows(lines, header: list[str]):
+    """Yield ``(line number, row)`` for each nonempty CSV row after the header.
+
+    ``lines`` is a text file opened with ``newline=""`` or any iterable of
+    lines.  The first row must be exactly ``header`` and every other row must
+    have as many cells; a bad row, or malformed CSV, raises ``ParseError``.
+    """
+    reader = csv.reader(lines)
+    try:
+        first = next(reader, [])
+        if first != header:
+            raise ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def _load_csv(path: Path) -> ResearcherProfile:
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            pubs = list(_csv_publications(reader))
+            pubs = list(_csv_publications(fh))
         except UnicodeDecodeError as exc:
             raise _not_utf8(path, exc) from None
-        except csv.Error as exc:
-            raise ParseError(str(exc), line=reader.line_num) from None
     return ResearcherProfile(name=path.stem, tags=[], publications=pubs)
 
 
-def _csv_publications(reader):
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty file", line=1) from None
-    if header != CSV_HEADER:
-        raise ParseError(
-            f"header must be exactly {','.join(CSV_HEADER)!r}, got {','.join(header)!r}",
-            line=1,
-        )
-    for row in reader:
-        if not row:
-            continue
-        line = reader.line_num
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", line=line)
-        year = _parse_int(row[1], "year", line)
-        citations = _parse_int(row[2], "citations", line)
+def _csv_publications(fh):
+    for line, (pub_id, year, citations) in csv_rows(fh, CSV_HEADER):
+        year = _parse_int(year, "year", line)
+        citations = _parse_int(citations, "citations", line)
         try:
-            yield Publication(pub_id=row[0], year=year, citations=citations)
+            yield Publication(pub_id=pub_id, year=year, citations=citations)
         except ValidationError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
 
@@ -169,15 +214,13 @@ def write_profile(profile: ResearcherProfile, path) -> Path:
     """Write a profile in canonical form, in the format its suffix names;
     reloading yields an equal profile."""
     path = Path(path)
-    fmt = _profile_format(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == ".csv":
+    if _profile_format(path) == ".csv":
         def rows():
             yield CSV_HEADER
             for pub in profile.publications:
                 yield [pub.pub_id, pub.year, pub.citations]
 
-        path.write_text(csv_text(rows), encoding="utf-8", newline="")
+        text = csv_text(rows)
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -188,8 +231,8 @@ def write_profile(profile: ResearcherProfile, path) -> Path:
                 for p in profile.publications
             ],
         }
-        path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return path
+        text = json.dumps(doc, indent=2) + "\n"
+    return write_text(text, path)
 
 
 def csv_text(rows) -> str:

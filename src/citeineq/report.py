@@ -7,67 +7,46 @@ inputs; rounding to 2 decimals happens only in the Markdown rendering.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CiteIneqError, ParseError
-from .ingest import ManifestEntry, load_profile, csv_text, read_text
+from .errors import CiteIneqError, ParseError, ValidationError
+from .ingest import ManifestEntry, csv_rows, csv_text, load_profile, read_text, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
 
-SERIES_HEADER = "central_year,g,k,n_pubs,n_cites,skipped"
+SERIES_COLUMNS = ["central_year", "g", "k", "n_pubs", "n_cites", "skipped"]
+SERIES_HEADER = ",".join(SERIES_COLUMNS)
 
 #: Number of samples of the fitted line in the inset panel, endpoints included.
 INSET_LINE_SAMPLES = 50
 
 
-def _fnum(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 # --- index series ----------------------------------------------------------
 
 def series_to_csv(series: IndexSeries) -> str:
-    lines = [SERIES_HEADER]
-    for e in series.entries:
-        lines.append(
-            f"{e.central_year},{_fnum(e.g)},{_fnum(e.k)},{e.n_pubs},{e.n_cites},{e.reason or ''}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = [SERIES_COLUMNS]
+    rows += [[e.central_year, e.g, e.k, e.n_pubs, e.n_cites, e.reason] for e in series.entries]
+    return csv_text(lambda: rows)
 
 
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SERIES_HEADER:
-        raise ParseError(f"{source}: first line must be {SERIES_HEADER!r}", line=1)
+    """Parse series CSV text; ``WindowEntry`` checks each row's values."""
     entries = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"{source}: expected 6 fields, got {len(parts)}", line=lineno)
-        year_s, g_s, k_s, n_pubs_s, n_cites_s, skipped_s = (p.strip() for p in parts)
+    for line, row in csv_rows(io.StringIO(text), SERIES_COLUMNS):
+        year, g, k, n_pubs, n_cites, reason = (cell.strip() for cell in row)
         try:
-            year = int(year_s)
-            n_pubs = int(n_pubs_s)
-            n_cites = int(n_cites_s)
-            g = float(g_s) if g_s else None
-            k = float(k_s) if k_s else None
-        except ValueError as exc:
-            raise ParseError(f"{source}: {exc}", line=lineno) from None
-        if skipped_s:
-            if g is not None or k is not None:
-                raise ParseError(f"{source}: skipped row has g or k", line=lineno)
-            entries.append(WindowEntry(year, None, None, n_pubs, n_cites, skipped_s))
-        elif g is None or k is None:
-            raise ParseError(f"{source}: non-skipped row missing g or k", line=lineno)
-        elif not (0.0 <= g <= 1.0 and 0.0 <= k <= 1.0):  # also false for nan
-            raise ParseError(f"{source}: g and k must lie in [0, 1], got {g!r}, {k!r}", line=lineno)
-        else:
-            entries.append(WindowEntry(year, g, k, n_pubs, n_cites))
+            entries.append(WindowEntry(
+                int(year), float(g) if g else None, float(k) if k else None,
+                int(n_pubs), int(n_cites), reason or None,
+            ))
+        except (ValueError, ValidationError) as exc:
+            raise ParseError(f"{source}: {exc}", line=line) from None
     return IndexSeries(entries=entries)
 
 
@@ -101,13 +80,6 @@ def summary_to_dict(summary: CareerSummary) -> dict:
     }
 
 
-def write_text(text: str, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
 def write_json(payload: dict, path) -> Path:
     return write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
@@ -124,20 +96,17 @@ def analyze_profile(
 
 def timepanel_csv(series: IndexSeries, soc_mark: float) -> str:
     """Plot-ready year panel; skipped rows keep the year axis contiguous."""
-    lines = ["year,g,k,soc_mark"]
-    for e in series.entries:
-        lines.append(f"{e.central_year},{_fnum(e.g)},{_fnum(e.k)},{_fnum(soc_mark)}")
-    return "\n".join(lines) + "\n"
+    rows = [["year", "g", "k", "soc_mark"]]
+    rows += [[e.central_year, e.g, e.k, float(soc_mark)] for e in series.entries]
+    return csv_text(lambda: rows)
 
 
 def inset_csv(series: IndexSeries, fit: FitResult) -> str:
     """Plot-ready k-vs-g panel: observed points plus sampled fitted line."""
-    lines = ["kind,g,k"]
-    for pair in series.pairs():
-        lines.append(f"point,{_fnum(pair.g)},{_fnum(pair.k)}")
-    for g in np.linspace(0.0, 1.0, INSET_LINE_SAMPLES):
-        lines.append(f"line,{_fnum(g)},{_fnum(0.5 + fit.c * g)}")
-    return "\n".join(lines) + "\n"
+    rows = [["kind", "g", "k"]]
+    rows += [["point", pair.g, pair.k] for pair in series.pairs()]
+    rows += [["line", g, 0.5 + fit.c * g] for g in np.linspace(0.0, 1.0, INSET_LINE_SAMPLES).tolist()]
+    return csv_text(lambda: rows)
 
 
 # --- cohort tables ---------------------------------------------------------

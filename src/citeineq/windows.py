@@ -39,8 +39,11 @@ class WindowConfig:
 
 @dataclass(frozen=True)
 class WindowEntry:
-    """One window of the series; a window is skipped when it has a reason,
-    and then its g and k are None."""
+    """One window of the series, validated on construction.
+
+    A window is skipped when it has a reason, and then its g and k are None;
+    otherwise both g and k lie in [0, 1].
+    """
 
     central_year: int
     g: float | None
@@ -48,6 +51,15 @@ class WindowEntry:
     n_pubs: int
     n_cites: int
     reason: str | None = None
+
+    def __post_init__(self):
+        if self.reason is not None:
+            if self.g is not None or self.k is not None:
+                raise ValidationError("skipped row has g or k")
+        elif self.g is None or self.k is None:
+            raise ValidationError("non-skipped row missing g or k")
+        elif not (0.0 <= self.g <= 1.0 and 0.0 <= self.k <= 1.0):  # also false for nan
+            raise ValidationError(f"g and k must lie in [0, 1], got {self.g!r}, {self.k!r}")
 
     @property
     def skipped(self) -> bool:

@@ -107,6 +107,22 @@ class TestAnalyze:
         assert err.startswith("error: ParseError:")
         assert "nope.csv" in err
 
+    def test_directory_is_not_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "dir.csv").mkdir()
+        code, out, err = run(capsys, "analyze", tmp_path / "dir.csv", "--out", tmp_path / "out")
+        assert code == 1
+        assert err.startswith("error: ParseError: profile path is not a regular file:") and err.count("\n") == 1
+
+    def test_existing_output_refused_before_any_write(self, tmp_path, equal_profile_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "flat_summary.md").write_text("kept\n")
+        code, out, err = run(capsys, "analyze", equal_profile_path, "--out", out_dir, "--markdown")
+        assert code == 1
+        assert err.startswith("error: ValidationError: output file already exists:") and "flat_summary.md" in err
+        assert [p.name for p in out_dir.iterdir()] == ["flat_summary.md"]
+        assert (out_dir / "flat_summary.md").read_text() == "kept\n"
+
     def test_all_windows_skipped_is_computation_error(self, tmp_path, capsys):
         # publications 8 years apart never share a 5-year window
         profile = make_profile({2000: [5], 2008: [6]}, name="sparse")
@@ -180,6 +196,19 @@ class TestFit:
         assert code == 0
         fit = json.loads((tmp_path / "series_fit.json").read_text())
         assert fit["g_star"] == pytest.approx(0.8, abs=1e-9)
+
+    def test_second_fit_into_same_out_refused(self, tmp_path, capsys):
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        out_dir = tmp_path / "out"
+        assert run(capsys, "fit", self.make_series(first, slope=0.39), "--out", out_dir)[0] == 0
+        written = (out_dir / "series_fit.json").read_bytes()
+        code, out, err = run(capsys, "fit", self.make_series(second, slope=0.2), "--out", out_dir)
+        assert code == 1
+        assert err.startswith("error: ValidationError: output file already exists:") and err.count("\n") == 1
+        assert (out_dir / "series_fit.json").read_bytes() == written
+        assert [p.name for p in out_dir.iterdir()] == ["series_fit.json"]
 
     def test_one_row_series_fails(self, tmp_path, capsys):
         path = self.make_series(tmp_path, n=1)
@@ -264,6 +293,17 @@ class TestPlotdata:
         assert code == 0
         panel = (marked / "s_timepanel.csv").read_text().splitlines()
         assert all(row.endswith(",0.9") for row in panel[1:])
+
+    def test_existing_panel_refused_before_any_write(self, tmp_path, capsys):
+        series_path = tmp_path / "s.csv"
+        series_path.write_text("central_year,g,k,n_pubs,n_cites,skipped\n2000,0.5,0.7,5,50,\n2001,0.6,0.74,5,60,\n")
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "s_inset.csv").write_text("kept\n")
+        code, out, err = run(capsys, "plotdata", series_path, "--out", out_dir)
+        assert code == 1
+        assert err.startswith("error: ValidationError: output file already exists:") and "s_inset.csv" in err
+        assert [p.name for p in out_dir.iterdir()] == ["s_inset.csv"]
 
     def test_skipped_years_keep_axis(self, tmp_path, capsys):
         text = (
@@ -364,10 +404,45 @@ class TestBatch:
         assert len((out_dir / "cohort.csv").read_text().splitlines()) == 4
 
     def test_all_fail(self, tmp_path, capsys):
+        # every failure is an input error: exit 1, as `analyze nowhere.csv` gives
         manifest = tmp_path / "m.json"
         manifest.write_text(json.dumps([{"name": "ghost", "path": "nowhere.csv"}]))
         code, out, err = run(capsys, "batch", manifest, "--out", tmp_path)
+        assert code == 1
+
+    def test_all_fail_with_a_computation_error(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=2)
+        entries = json.loads(manifest.read_text())
+        entries.append({"name": "ghost", "path": "nowhere.csv"})
+        manifest.write_text(json.dumps(entries))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir, "--end-year", "1999")
         assert code == 2
+        assert err.count("error: NoWindows:") == 2 and "error: ParseError:" in err
+        assert err.splitlines()[-1] == "error: BatchFailed: every profile in the batch failed"
+        assert not out_dir.exists()
+
+    def test_existing_profile_output_refused_before_any_write(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path)
+        out_dir = tmp_path / "out"
+        (out_dir / "profiles").mkdir(parents=True)
+        (out_dir / "profiles" / "mild_summary.json").write_text("{}\n")
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert err.startswith("error: ValidationError: output file already exists:") and err.count("\n") == 1
+        assert [p.relative_to(out_dir).as_posix() for p in out_dir.rglob("*")] == [
+            "profiles", "profiles/mild_summary.json"
+        ]
+        assert (out_dir / "profiles" / "mild_summary.json").read_text() == "{}\n"
+
+    def test_directory_entry_is_not_a_regular_file(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=1)
+        manifest.write_text(json.dumps([{"name": "a", "path": "cohort"}]))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert "error: ParseError: profile 'a': profile path is not a regular file:" in err
+        assert not out_dir.exists()
 
     def test_colliding_file_stems_refused(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path, n_profiles=2)

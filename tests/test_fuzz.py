@@ -9,6 +9,7 @@ print at most one stderr line, and every stderr line starts with ``error:``.
 
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -100,6 +101,12 @@ def inputs(tmp_path_factory):
     return root
 
 
+def fresh_dir(root) -> str:
+    """A new output directory, so that every example reaches the writer rather
+    than the refusal to replace an earlier example's outputs."""
+    return tempfile.mkdtemp(dir=root)
+
+
 def run_main(argv) -> list[str]:
     """The stderr lines of one ``main()`` call, after checking its exit code and their prefix."""
     err = io.StringIO()
@@ -121,7 +128,7 @@ def test_any_profile_file(inputs, suffix_and_data):
     suffix, data = suffix_and_data
     path = inputs / f"fuzz{suffix}"
     path.write_bytes(data)
-    assert len(run_main(["analyze", path, "--out", inputs / "out-analyze"])) <= 1
+    assert len(run_main(["analyze", path, "--out", fresh_dir(inputs)])) <= 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,7 +137,7 @@ def test_any_profile_file(inputs, suffix_and_data):
 def test_any_manifest_file(inputs, data):
     path = inputs / "manifest.json"
     path.write_bytes(data)
-    run_main(["batch", path, "--out", inputs / "out-batch"])
+    run_main(["batch", path, "--out", fresh_dir(inputs)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,4 +145,4 @@ def test_any_manifest_file(inputs, data):
 def test_any_series_file(inputs, command, data):
     path = inputs / "series.csv"
     path.write_bytes(data)
-    assert len(run_main([command, path, "--out", inputs / "out-series"])) <= 1
+    assert len(run_main([command, path, "--out", fresh_dir(inputs)])) <= 1

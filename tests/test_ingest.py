@@ -21,6 +21,7 @@ from citeineq import (
     synth_profile,
     write_profile,
 )
+from citeineq import ingest
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from helpers import gini_pairwise
 
@@ -256,6 +257,36 @@ class TestRoundTrip:
         assert second.publications == first.publications
         write_profile(second, tmp_path / "x.csv")
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+
+
+class TestWriteText:
+    def test_writes_lf_and_refuses_an_existing_file(self, tmp_path):
+        path = ingest.write_text("a\nb\n", tmp_path / "sub" / "f.txt")
+        assert path.read_bytes() == b"a\nb\n"
+        with pytest.raises(ValidationError, match="output file already exists"):
+            ingest.write_text("c\n", path)
+        assert path.read_bytes() == b"a\nb\n"
+        assert [p.name for p in path.parent.iterdir()] == ["f.txt"]
+
+    def test_profile_not_replaced(self, tmp_path):
+        profile = synth_profile(SynthSpec(model="uniform", n_papers=5, seed=3))
+        path = write_profile(profile, tmp_path / "p.json")
+        written = path.read_bytes()
+        with pytest.raises(ValidationError):
+            write_profile(synth_profile(SynthSpec(model="uniform", n_papers=5, seed=4)), path)
+        assert path.read_bytes() == written
+
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        # text that cannot be encoded fails inside the write; a failed rename after it
+        with pytest.raises(UnicodeEncodeError):
+            ingest.write_text("a\ud800b\n", tmp_path / "f.txt")
+        monkeypatch.setattr(ingest.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            ingest.write_text("a\n", tmp_path / "f.txt")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifest:

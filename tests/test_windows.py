@@ -78,6 +78,21 @@ class TestWindowSeries:
         assert WindowEntry(2000, None, None, 0, 0, SKIP_NO_PUBS).skipped
         assert not WindowEntry(2000, 0.5, 0.6, 3, 9).skipped
 
+    @pytest.mark.parametrize(
+        "g, k, reason, message",
+        [
+            (0.5, 0.6, "zero_citations", "skipped row has g or k"),
+            (None, 0.6, "zero_citations", "skipped row has g or k"),
+            (0.5, None, None, "non-skipped row missing g or k"),
+            (float("nan"), 0.6, None, "must lie in"),
+            (0.5, 1.5, None, "must lie in"),
+            (-0.25, 0.6, None, "must lie in"),
+        ],
+    )
+    def test_entry_rules_checked_on_construction(self, g, k, reason, message):
+        with pytest.raises(ValidationError, match=message):
+            WindowEntry(2000, g, k, 3, 9, reason)
+
     def test_no_windows(self):
         profile = make_profile({2021: [4, 5]})
         with pytest.raises(NoWindows):
