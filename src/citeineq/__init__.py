@@ -33,7 +33,16 @@ from .landau import (
     landau_k_approx,
     landau_k_exact,
 )
-from .lorenz import IndexPair, LorenzCurve, build_lorenz, gini, hirsch, index_pair, kolkata
+from .lorenz import (
+    IndexPair,
+    LorenzCurve,
+    build_lorenz,
+    gini,
+    hirsch,
+    index_pair,
+    index_pairs,
+    kolkata,
+)
 from .profiles import Publication, ResearcherProfile
 from .soc import (
     SOC_MARK,
@@ -100,6 +109,7 @@ __all__ = [
     "hirsch_sqrt_diagnostic",
     "hirsch_sqrt_ratio",
     "index_pair",
+    "index_pairs",
     "kolkata",
     "landau_coefficients",
     "landau_k_approx",

@@ -69,6 +69,16 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
+def _check_out_dir(directory: Path) -> None:
+    """``ValidationError`` unless ``directory`` is, or can be made, a directory:
+    it and its nearest existing ancestor must not be anything else."""
+    for part in (directory, *directory.parents):
+        if part.exists():
+            if not part.is_dir():
+                raise ValidationError(f"--out must be a directory, and {part} is not one")
+            return
+
+
 def _run_config(args: argparse.Namespace) -> tuple[WindowConfig, SocConfig]:
     window = WindowConfig(
         width_years=args.window_width,
@@ -91,6 +101,7 @@ def _write_profile_files(series: IndexSeries, summary: CareerSummary, paths: lis
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     profile = load_profile(args.profile)
     paths = _profile_paths(profile.name, args.out)
     if args.markdown:
@@ -106,6 +117,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     fit = fit_k_vs_g(read_series_csv(args.series).pairs())
     stem = Path(args.series).stem
     print(write_json(asdict(fit), args.out / f"{stem}_fit.json"))
@@ -113,6 +125,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
+    _check_out_dir(args.out)
     series = read_series_csv(args.series)
     fit = fit_k_vs_g(series.pairs())
     stem = Path(args.series).stem
@@ -125,6 +138,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     window, soc = _run_config(args)
+    _check_out_dir(args.out / "profiles")
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
@@ -164,6 +178,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = args.out
     if out.suffix.lower() not in PROFILE_SUFFIXES:
         out = out / f"{file_stem(profile.name)}.{args.fmt}"
+    _check_out_dir(out.parent)
     print(write_profile(profile, out))
     return EXIT_OK
 

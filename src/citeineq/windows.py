@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllSkipped, NoWindows, ValidationError
-from .lorenz import IndexPair, index_pair
+from .lorenz import IndexPair, index_pairs
 from .profiles import ResearcherProfile
 
 SKIP_NO_PUBS = "no_publications"
@@ -114,24 +114,20 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
 
     # each window [start, start + width) is the slice lo:hi of the sorted columns
     starts = np.arange(first, config.end_year - width + 2, stride)
-    lo = np.searchsorted(years, starts)
-    hi = np.searchsorted(years, starts + width)
-    cum = np.concatenate(([0], np.cumsum(citations)))
-    bounds = zip(starts.tolist(), lo.tolist(), hi.tolist(), (cum[hi] - cum[lo]).tolist())
+    lo = years.searchsorted(starts)
+    hi = years.searchsorted(starts + width)
+    cum = np.concatenate(([0], citations.cumsum()))
+    n_pubs, n_cites = hi - lo, cum[hi] - cum[lo]
 
-    entries = []
-    for start, a, b, n_cites in bounds:
-        central = start + width // 2
-        n_pubs = b - a
-        if n_pubs == 0:
-            entry = WindowEntry(central, None, None, 0, 0, SKIP_NO_PUBS)
-        elif n_pubs < config.min_pubs:
-            entry = WindowEntry(central, None, None, n_pubs, n_cites, SKIP_TOO_FEW)
-        elif n_cites == 0:
-            entry = WindowEntry(central, None, None, n_pubs, 0, SKIP_ZERO_CITES)
-        else:
-            entry = WindowEntry(central, *index_pair(citations[a:b]), n_pubs, n_cites)
-        entries.append(entry)
+    reasons, g, k = np.full((3, starts.size), None, dtype=object)
+    reasons[n_cites == 0] = SKIP_ZERO_CITES
+    reasons[n_pubs < config.min_pubs] = SKIP_TOO_FEW
+    reasons[n_pubs == 0] = SKIP_NO_PUBS
+    valid = (n_pubs >= config.min_pubs) & (n_cites > 0)
+    g[valid], k[valid] = index_pairs(citations, lo[valid], hi[valid])
+    rows = zip((starts + width // 2).tolist(), g.tolist(), k.tolist(),
+               n_pubs.tolist(), n_cites.tolist(), reasons.tolist())
+    entries = [WindowEntry(*row) for row in rows]
     return IndexSeries(entries=entries)
 
 

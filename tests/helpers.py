@@ -1,5 +1,8 @@
 """Shared oracles and builders for the test suite."""
 
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 
 from citeineq import IndexSeries, Publication, ResearcherProfile, WindowEntry
@@ -23,6 +26,27 @@ def gini_pairwise(counts) -> float:
         block = x[start : start + 512]
         pair_sum += int(np.abs(block[:, None] - x[None, :]).sum())
     return pair_sum / (2 * x.size * int(x.sum()))
+
+
+def fraction_pair(counts) -> tuple[float, float]:
+    """Exact (Gini, Kolkata) of integer counts, each rounded once to a double.
+
+    Gini is the pairwise sum_{i<j} (x_(j) - x_(i)) / (nT) over the sorted
+    counts, summed in Python ints.  Kolkata is the zero of f(p) = 1 - L(p) - p
+    on the first Lorenz segment where f reaches 0, by linear interpolation in
+    rationals.  No step is shared with ``citeineq.lorenz``.
+    """
+    x = sorted(int(c) for c in counts)
+    n, total = len(x), sum(x)
+    g = Fraction(sum((2 * i - n - 1) * xi for i, xi in enumerate(x, start=1)), n * total)
+    cum = [0, *accumulate(x)]
+
+    def f(i):  # 1 - L(p) - p at vertex i
+        return Fraction(total - cum[i], total) - Fraction(i, n)
+
+    j = next(i for i in range(1, n + 1) if n * (total - cum[i]) <= i * total)
+    k = Fraction(j - 1, n) + f(j - 1) / (f(j - 1) - f(j)) / n
+    return float(g), float(k)
 
 
 def citations_in(profile: ResearcherProfile, start_year: int, end_year: int) -> list[int]:

@@ -123,6 +123,14 @@ class TestAnalyze:
         assert [p.name for p in out_dir.iterdir()] == ["flat_summary.md"]
         assert (out_dir / "flat_summary.md").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("out", ["f", "f/sub"])
+    def test_out_under_a_file_is_one_line_validation_error(self, tmp_path, equal_profile_path, capsys, out):
+        (tmp_path / "f").write_text("kept\n")
+        code, stdout, err = run(capsys, "analyze", equal_profile_path, "--out", tmp_path / out)
+        assert code == 1
+        assert err == f"error: ValidationError: --out must be a directory, and {tmp_path / 'f'} is not one\n"
+        assert (tmp_path / "f").read_text() == "kept\n"
+
     def test_all_windows_skipped_is_computation_error(self, tmp_path, capsys):
         # publications 8 years apart never share a 5-year window
         profile = make_profile({2000: [5], 2008: [6]}, name="sparse")
@@ -209,6 +217,14 @@ class TestFit:
         assert err.startswith("error: ValidationError: output file already exists:") and err.count("\n") == 1
         assert (out_dir / "series_fit.json").read_bytes() == written
         assert [p.name for p in out_dir.iterdir()] == ["series_fit.json"]
+
+    @pytest.mark.parametrize("out", ["f", "f/sub"])
+    def test_out_under_a_file_is_one_line_validation_error(self, tmp_path, capsys, out):
+        (tmp_path / "f").write_text("kept\n")
+        code, stdout, err = run(capsys, "fit", self.make_series(tmp_path), "--out", tmp_path / out)
+        assert code == 1
+        assert err == f"error: ValidationError: --out must be a directory, and {tmp_path / 'f'} is not one\n"
+        assert (tmp_path / "f").read_text() == "kept\n"
 
     def test_one_row_series_fails(self, tmp_path, capsys):
         path = self.make_series(tmp_path, n=1)

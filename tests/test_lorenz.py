@@ -13,9 +13,11 @@ from citeineq import (
     gini,
     hirsch,
     index_pair,
+    index_pairs,
     kolkata,
 )
-from helpers import gini_pairwise
+from citeineq.lorenz import CHUNK
+from helpers import fraction_pair, gini_pairwise
 
 # nonempty, not all zero, bounded like real citation counts
 count_vectors = st.lists(st.integers(0, 10**5), min_size=1, max_size=200).filter(any)
@@ -114,6 +116,76 @@ class TestKolkata:
         g, k = index_pair(counts)
         if g > 1e-9:
             assert k > 0.5
+
+
+class TestExactRounding:
+    """Integer counts give the doubles nearest the exact (g, k)."""
+
+    @given(st.lists(st.integers(0, 10**9), min_size=1, max_size=200).filter(any))
+    def test_index_pair_is_exactly_rounded(self, counts):
+        assert index_pair(counts) == fraction_pair(counts)
+
+    def test_products_past_float_precision(self):
+        # nT in [2^53, 2^63): int64 sums are exact, but a float division is not
+        counts = np.random.default_rng(53).integers(10**9 // 2, 10**9, size=10_000, endpoint=True)
+        assert 2**53 <= counts.size * int(counts.sum()) < 2**63
+        assert index_pair(counts) == fraction_pair(counts)
+
+    def test_products_past_int64(self):
+        counts = np.random.default_rng(63).integers(95 * 10**7, 10**9, size=100_000, endpoint=True)
+        assert counts.size * int(counts.sum()) >= 2**63
+        assert index_pair(counts) == fraction_pair(counts)
+
+    def test_counts_past_int64_sums(self):
+        counts = [2**70, 3, 0, 2**65]
+        assert index_pair(counts) == fraction_pair(counts)
+
+    def test_many_chunks_and_both_paths_in_one_call(self):
+        # small-count slices run in int64 over several chunks; the slices over
+        # the 10^9 block need Python ints; results land in slice order
+        rng = np.random.default_rng(13)
+        x = np.concatenate([rng.integers(0, 1000, size=6000), np.full(20_000, 10**9)])
+        lo = np.concatenate([np.arange(0, 5000, 100), [6000, 9000]])
+        hi = lo + np.where(lo < 6000, 1000, 11_000)
+        assert (hi - lo).sum() > 3 * CHUNK
+        g, k = index_pairs(x, lo, hi)
+        expected = [fraction_pair(x[a:b]) for a, b in zip(lo, hi)]
+        assert list(zip(g.tolist(), k.tolist())) == expected
+
+    @pytest.mark.parametrize("size, width", [(7, 3), (4000, 1)])
+    def test_huge_counts_in_small_slices(self, size, width):
+        # slices of counts near 2^51 in one pass: a key of value + slice * base
+        # would pass int64, so the slices are sorted together another way
+        x = np.random.default_rng(size).integers(2**51, 2**52, size=size)
+        lo = np.arange(size - width + 1)
+        g, k = index_pairs(x, lo, lo + width)
+        assert list(zip(g.tolist(), k.tolist())) == [fraction_pair(x[a : a + width]) for a in lo]
+
+    @given(count_vectors, st.integers(0, 2**32 - 1))
+    def test_slices_equal_single_calls(self, counts, seed):
+        rng = np.random.default_rng(seed)
+        lo = rng.integers(0, len(counts), size=8)
+        hi = np.minimum(lo + rng.integers(1, len(counts) + 1, size=8), len(counts))
+        x = np.asarray(counts)
+        keep = [x[a:b].any() for a, b in zip(lo, hi)]
+        g, k = index_pairs(x, lo[keep], hi[keep])
+        assert list(zip(g, k)) == [index_pair(x[a:b]) for a, b in zip(lo[keep], hi[keep])]
+
+    def test_slice_errors(self):
+        with pytest.raises(ZeroTotal):
+            index_pairs([0, 0, 1], [0], [2])
+        with pytest.raises(EmptyInput):
+            index_pairs([1, 2], [1], [1])
+        with pytest.raises(EmptyInput):
+            index_pairs([1, 2], [0], [3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_refused(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            index_pair([bad, 1.0])
+
+    def test_float_equality_stays_in_range(self):
+        assert index_pair([0.1] * 7) == (0.0, 0.5)
 
 
 class TestHirsch:

@@ -1,5 +1,6 @@
 """Crossing classification, career summaries, and the peak-ratio indicator."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from citeineq import (
     peak_ratio,
     window_series,
 )
-from helpers import CROSSING_WINDOW, make_profile, series_from_pairs
+from helpers import CROSSING_WINDOW, fraction_pair, make_profile, series_from_pairs
 
 CLASS_RANK = {"No": 0, "Marginally": 1, "Yes": 2}
 
@@ -138,6 +139,21 @@ class TestCareerSummary:
         s1 = career_summary(profile, series)
         s7 = career_summary(profile7, series7)
         assert s7.peak_ratio == pytest.approx(s1.peak_ratio, rel=1e-12)
+
+    def test_overall_and_window_pairs_past_int64_are_exactly_rounded(self):
+        # 100,000 papers near the citation cap: nT passes 2^63 for the career
+        # and for the window that holds every paper
+        counts = np.random.default_rng(7).integers(95 * 10**7, 10**9, size=100_000, endpoint=True)
+        by_year = {2000 + i: counts[i::5].tolist() for i in range(5)}
+        profile, series = self._profile_series(by_year, end_year=2006)
+        assert counts.size * int(counts.sum()) >= 2**63
+        summary = career_summary(profile, series)
+        assert (summary.g_overall, summary.k_overall) == fraction_pair(counts)
+        assert (series.entries[0].g, series.entries[0].k) == fraction_pair(counts)
+        for e in series.valid_entries():
+            start = e.central_year - 2
+            window = profile.citations[(profile.years >= start) & (profile.years <= start + 4)]
+            assert (e.g, e.k) == fraction_pair(window)
 
 
 class TestPeakRatioArithmetic:

@@ -21,7 +21,7 @@ from citeineq import (
     yearly_average,
 )
 from citeineq.windows import SKIP_NO_PUBS
-from helpers import citations_in, make_profile, series_from_pairs
+from helpers import citations_in, fraction_pair, make_profile, series_from_pairs
 
 # year -> citation lists drawn like modest careers
 profiles = st.dictionaries(
@@ -172,6 +172,36 @@ class TestWindowSeries:
             assert e.n_pubs == len(window) and e.n_cites == sum(window)
             if not e.skipped:
                 assert (e.g, e.k) == index_pair(window)
+
+
+    @given(
+        st.dictionaries(
+            st.integers(1990, 2018),
+            st.lists(st.integers(0, 10**9), min_size=1, max_size=6),
+            min_size=1,
+            max_size=20,
+        ).map(make_profile),
+        st.integers(1, 8),
+        st.integers(1, 4),
+    )
+    def test_valid_entries_are_exactly_rounded(self, profile, width, stride):
+        config = WindowConfig(width_years=width, stride_years=stride, end_year=2026)
+        for e in window_series(profile, config).valid_entries():
+            start = e.central_year - width // 2
+            assert (e.g, e.k) == fraction_pair(citations_in(profile, start, start + width - 1))
+
+    def test_windows_past_float_precision_are_exactly_rounded(self):
+        # 10,000 papers near the citation cap over 10 years: each window's nT
+        # lies in [2^53, 2^63), and the windows span several chunks
+        rng = np.random.default_rng(53)
+        by_year = {2000 + i: rng.integers(5 * 10**8, 10**9, size=1000).tolist() for i in range(10)}
+        profile = make_profile(by_year)
+        series = window_series(profile, WindowConfig(end_year=2009))
+        assert len(series.valid_entries()) == 6
+        for e in series.valid_entries():
+            window = citations_in(profile, e.central_year - 2, e.central_year + 2)
+            assert 2**53 <= len(window) * sum(window) < 2**63
+            assert (e.g, e.k) == fraction_pair(window)
 
 
 class TestYearlyAverage:
