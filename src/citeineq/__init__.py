@@ -33,16 +33,7 @@ from .landau import (
     landau_k_approx,
     landau_k_exact,
 )
-from .lorenz import (
-    IndexPair,
-    LorenzCurve,
-    build_lorenz,
-    gini,
-    hirsch,
-    index_pair,
-    index_pairs,
-    kolkata,
-)
+from .lorenz import IndexPair, hirsch, index_pair, index_pairs
 from .profiles import Publication, ResearcherProfile
 from .soc import (
     SOC_MARK,
@@ -52,7 +43,6 @@ from .soc import (
     career_summary,
     cites_per_paper,
     classify_crossing,
-    hirsch_sqrt_diagnostic,
     hirsch_sqrt_ratio,
     peak_ratio,
 )
@@ -82,7 +72,6 @@ __all__ = [
     "IndexPair",
     "IndexSeries",
     "LandauCoefficients",
-    "LorenzCurve",
     "NoWindows",
     "OutOfRange",
     "ParseError",
@@ -98,19 +87,15 @@ __all__ = [
     "YearlyAverage",
     "ZeroCitations",
     "ZeroTotal",
-    "build_lorenz",
     "career_summary",
     "cites_per_paper",
     "classify_crossing",
     "fit_free_intercept",
     "fit_k_vs_g",
-    "gini",
     "hirsch",
-    "hirsch_sqrt_diagnostic",
     "hirsch_sqrt_ratio",
     "index_pair",
     "index_pairs",
-    "kolkata",
     "landau_coefficients",
     "landau_k_approx",
     "landau_k_exact",

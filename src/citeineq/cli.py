@@ -101,13 +101,14 @@ def _write_profile_files(series: IndexSeries, summary: CareerSummary, paths: lis
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    window, soc = _run_config(args)
     _check_out_dir(args.out)
     profile = load_profile(args.profile)
     paths = _profile_paths(profile.name, args.out)
     if args.markdown:
         paths.append(args.out / f"{file_stem(profile.name)}_summary.md")
     refuse_existing(paths)
-    series, summary = analyze_profile(profile, *_run_config(args))
+    series, summary = analyze_profile(profile, window, soc)
     _write_profile_files(series, summary, paths)
     if args.markdown:
         write_text(cohort_to_markdown(BatchResult([summary], [])), paths[2])
@@ -125,6 +126,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.soc_mark <= 1.0:  # also false for nan
+        raise ValidationError(f"--soc-mark must be a finite value in [0, 1], got {args.soc_mark}")
     _check_out_dir(args.out)
     series = read_series_csv(args.series)
     fit = fit_k_vs_g(series.pairs())

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -324,6 +325,8 @@ class SynthSpec:
             raise BadSpec(f"unknown model {self.model!r}")
         if self.n_papers < 1:
             raise BadSpec("n_papers must be >= 1")
+        if not math.isfinite(self.exponent):
+            raise BadSpec(f"exponent must be finite, got {self.exponent}")
         if self.model == "powerlaw" and self.exponent <= 1.0:
             raise BadSpec("powerlaw exponent must be > 1")
         first, last = self.span_years
@@ -334,6 +337,8 @@ class SynthSpec:
             )
         if not 0 <= self.value <= MAX_CITATIONS:
             raise BadSpec(f"value must be in [0, {MAX_CITATIONS}], got {self.value}")
+        if self.seed < 0:
+            raise BadSpec(f"seed must be nonnegative, got {self.seed}")
 
 
 def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile:

@@ -1,4 +1,4 @@
-"""Discrete Lorenz curves and the Gini, Kolkata, and Hirsch indices.
+"""The Gini, Kolkata, and Hirsch indices of citation vectors.
 
 The Lorenz curve of a citation vector is the piecewise-linear curve through
 the vertices (i/n, C_i/C_n), where C_i is the running sum of the counts
@@ -14,8 +14,8 @@ S = C_1 + ... + C_n, both indices are ratios of integers:
 where j is the first vertex with n(T - C_j) <= jT.  ``index_pairs`` evaluates
 them for many slices of one vector in a few numpy passes, with one division
 each, so integer counts give the doubles nearest the exact values whatever
-their order.  ``build_lorenz``, ``gini`` and ``kolkata`` follow the curve
-itself and are kept as the reference the tests compare against.
+their order.  It is the package's one implementation of g and k; the curve
+itself is never built.
 
 All functions are pure and hold no shared state; zero-citation publications
 count as zero-wealth members of the population.
@@ -23,7 +23,6 @@ count as zero-wealth members of the population.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -36,33 +35,6 @@ class IndexPair(NamedTuple):
 
     g: float
     k: float
-
-
-@dataclass(frozen=True)
-class LorenzCurve:
-    """Piecewise-linear cumulative-share curve of a citation vector.
-
-    Attributes
-    ----------
-    p : np.ndarray
-        Population fractions at the vertices, 0, 1/n, ..., 1.
-    shares : np.ndarray
-        Cumulative citation shares L(p) at the vertices; shares[0] == 0
-        and shares[-1] == 1.
-    n : int
-        Population size.
-    total : float
-        Total citations over the population.
-    """
-
-    p: np.ndarray
-    shares: np.ndarray
-    n: int
-    total: float
-
-    def interpolate(self, q) -> np.ndarray | float:
-        """Evaluate L(q) by linear interpolation between vertices."""
-        return np.interp(q, self.p, self.shares)
 
 
 #: Most counts one vectorized pass gathers; larger passes cost more in memory
@@ -93,70 +65,6 @@ def _as_counts(counts) -> np.ndarray:
         return arr.astype(np.float64, copy=False)
     fits = int(arr.max()) * arr.size < _INT64_LIMIT
     return arr.astype(np.int64 if fits else object, copy=False)
-
-
-def build_lorenz(counts) -> LorenzCurve:
-    """Construct the discrete Lorenz curve of a citation vector.
-
-    Parameters
-    ----------
-    counts : array-like
-        Nonnegative per-publication citation counts. Integer input is
-        accumulated exactly before normalization.
-
-    Returns
-    -------
-    LorenzCurve
-        Vertices (i/n, C_i/C_n) for i = 0..n over the ascending-sorted
-        counts.
-
-    Raises
-    ------
-    EmptyInput
-        If the vector has no elements.
-    ZeroTotal
-        If every count is zero (shares are undefined).
-    """
-    arr = _as_counts(counts)
-    n = arr.size
-    cum = np.concatenate(([0], np.cumsum(np.sort(arr))))
-    total = cum[-1]
-    if total <= 0:
-        raise ZeroTotal("all citation counts are zero")
-    p = np.arange(n + 1) / n
-    shares = cum / total
-    return LorenzCurve(p=p, shares=shares, n=n, total=float(total))
-
-
-def gini(curve: LorenzCurve) -> float:
-    """Gini index of a Lorenz curve.
-
-    Twice the area between the equality diagonal and the curve, computed
-    as 1 minus twice the trapezoidal integral of the piecewise-linear
-    L(p).  Equals the pairwise mean-absolute-difference form
-    sum_ij |x_i - x_j| / (2 n^2 mean).
-    """
-    L = curve.shares
-    g = 1.0 - np.sum(L[:-1] + L[1:]) / curve.n
-    # round-off on near-equality input can undershoot 0 by ~1 ulp
-    return float(min(max(g, 0.0), 1.0))
-
-
-def kolkata(curve: LorenzCurve) -> float:
-    """Kolkata index: the fixed point of the complementary Lorenz curve.
-
-    Solves 1 - L(k) = k.  Since f(p) = 1 - L(p) - p falls strictly from
-    +1 at p=0 to -1 at p=1, the fixed point exists, is unique, and lies
-    in [0.5, 1].  The crossing segment is located by scanning vertex
-    signs and solved exactly on that linear piece.
-    """
-    p, L, n = curve.p, curve.shares, curve.n
-    f = 1.0 - L - p
-    # first vertex at or below zero; f[0] = 1 > 0 and f[-1] = -1 < 0
-    j = int(np.argmax(f <= 0.0))
-    slope = (L[j] - L[j - 1]) * n
-    k = (1.0 - L[j - 1] + slope * p[j - 1]) / (1.0 + slope)
-    return float(min(max(k, 0.5), 1.0))
 
 
 def hirsch(counts) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AllSkipped, ZeroCitations
+from .errors import AllSkipped, ValidationError, ZeroCitations
 from .lorenz import hirsch, index_pair
 from .profiles import ResearcherProfile
 from .windows import IndexSeries, YearlyAverage, yearly_average
@@ -30,6 +30,12 @@ CROSS_NO = "No"
 class SocConfig:
     marginal_tolerance: float = 0.01
     r_threshold: float = 40.0
+
+    def __post_init__(self):
+        for name in ("marginal_tolerance", "r_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,9 +130,8 @@ def career_summary(
     n_pubs = len(counts)
     n_cites = int(counts.sum())
     overall = index_pair(counts)  # raises ZeroTotal before cites_per_paper's ZeroCitations
-    d = cites_per_paper(n_pubs, n_cites)
     max_citations = int(counts.max())
-    r = max_citations / d
+    r = peak_ratio(max_citations, n_pubs, n_cites)
     return CareerSummary(
         name=profile.name,
         n_pubs=n_pubs,
@@ -136,7 +141,7 @@ def career_summary(
         k_overall=overall.k,
         yearly=yearly_average(series),
         max_citations=max_citations,
-        cites_per_paper=d,
+        cites_per_paper=cites_per_paper(n_pubs, n_cites),
         peak_ratio=r,
         crossing=classify_crossing(series, config),
         soc_flagged=r >= config.r_threshold,
@@ -144,16 +149,12 @@ def career_summary(
     )
 
 
-def hirsch_sqrt_diagnostic(summary: CareerSummary) -> float:
+def hirsch_sqrt_ratio(h_index: int, n_cites: int) -> float:
     """h / sqrt(total citations); statistically ~0.5 for prolific careers.
 
     Purely informational: values far from 0.5 flag unusual citation
     concentration, not an error.
     """
-    return hirsch_sqrt_ratio(summary.h_index, summary.n_cites)
-
-
-def hirsch_sqrt_ratio(h_index: int, n_cites: int) -> float:
     if n_cites <= 0:
         raise ZeroCitations("ratio undefined without citations")
     return h_index / math.sqrt(n_cites)

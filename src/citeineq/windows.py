@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import AllSkipped, NoWindows, ValidationError
 from .lorenz import IndexPair, index_pairs
-from .profiles import ResearcherProfile
+from .profiles import MAX_YEAR, MIN_YEAR, ResearcherProfile
 
 SKIP_NO_PUBS = "no_publications"
 SKIP_TOO_FEW = "too_few_publications"
@@ -35,6 +35,8 @@ class WindowConfig:
         for name in ("width_years", "stride_years", "min_pubs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")
+        if not MIN_YEAR <= self.end_year <= MAX_YEAR:
+            raise ValidationError(f"end_year must be in [{MIN_YEAR}, {MAX_YEAR}], got {self.end_year}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ CROSSING_WINDOW = (
 def gini_pairwise(counts) -> float:
     """Mean-absolute-difference Gini: sum_ij |x_i - x_j| / (2 n^2 mean).
 
-    Independent of the Lorenz-curve code path; exact integer pair sums,
+    Independent of the (g, k) kernel; exact integer pair sums,
     accumulated in row blocks to bound memory for large vectors.
     """
     x = np.asarray(counts, dtype=np.int64)
@@ -26,6 +26,13 @@ def gini_pairwise(counts) -> float:
         block = x[start : start + 512]
         pair_sum += int(np.abs(block[:, None] - x[None, :]).sum())
     return pair_sum / (2 * x.size * int(x.sum()))
+
+
+def lorenz_at(counts, q) -> float:
+    """L(q) of the counts' Lorenz curve: ``np.interp`` over the vertices
+    (i/n, C_i/T) of the sorted running sums."""
+    cum = np.concatenate(([0], np.cumsum(np.sort(np.asarray(counts, dtype=np.int64)))))
+    return float(np.interp(q, np.arange(cum.size) / (cum.size - 1), cum / cum[-1]))
 
 
 def fraction_pair(counts) -> tuple[float, float]:

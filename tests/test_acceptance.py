@@ -14,12 +14,9 @@ import pytest
 
 from citeineq import (
     EMPIRICAL_SLOPE,
-    build_lorenz,
     classify_crossing,
     fit_k_vs_g,
-    gini,
     index_pair,
-    kolkata,
     landau_k_approx,
     landau_k_exact,
     window_series,
@@ -29,7 +26,7 @@ from citeineq import (
     write_profile,
 )
 from citeineq.cli import main
-from helpers import citations_in, gini_pairwise, make_profile, series_from_pairs
+from helpers import citations_in, gini_pairwise, lorenz_at, make_profile, series_from_pairs
 
 N_VECTORS = 1000
 N_TRIALS = 1000
@@ -59,28 +56,27 @@ def test_criterion_1_gini_oracle_equivalence(corpus):
     start = time.perf_counter()
     failures = []
     for i, x in enumerate(corpus):
-        delta = abs(gini(build_lorenz(x)) - gini_pairwise(x))
+        delta = abs(index_pair(x).g - gini_pairwise(x))
         if delta > 1e-12:
             failures.append((i, delta))
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
         failures.append(("runtime", elapsed))
-    report(1, f"trapezoidal Gini == pairwise oracle to 1e-12 on {N_VECTORS} vectors", failures, elapsed)
+    report(1, f"kernel Gini == pairwise oracle to 1e-12 on {N_VECTORS} vectors", failures, elapsed)
 
 
 def test_criterion_2_kolkata_fixed_point(corpus):
     failures = []
     for i, x in enumerate(corpus):
-        curve = build_lorenz(x)
-        k = kolkata(curve)
+        k = index_pair(x).k
         if not 0.5 <= k <= 1.0:
             failures.append((i, "range", k))
-        residual = abs(1.0 - curve.interpolate(k) - k)
+        residual = abs(1.0 - lorenz_at(x, k) - k)
         if residual > 1e-12:
             failures.append((i, "residual", residual))
-    if abs(kolkata(build_lorenz([0, 0, 0, 10])) - 0.8) > 1e-12:
+    if abs(index_pair([0, 0, 0, 10]).k - 0.8) > 1e-12:
         failures.append("hand case [0,0,0,10]")
-    if abs(kolkata(build_lorenz([1, 2, 3, 4])) - 13 / 22) > 1e-12:
+    if abs(index_pair([1, 2, 3, 4]).k - 13 / 22) > 1e-12:
         failures.append("hand case [1,2,3,4]")
     report(2, "fixed-point residual <= 1e-12, k in [0.5, 1], hand cases exact", failures)
 

@@ -22,7 +22,7 @@ from citeineq import (
     write_profile,
 )
 from citeineq.cli import build_parser, main
-from citeineq.profiles import MAX_YEAR
+from citeineq.profiles import MAX_YEAR, MIN_YEAR
 from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
 from helpers import CROSSING_WINDOW, make_profile
 
@@ -147,6 +147,26 @@ class TestAnalyze:
         code, out, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
         assert code == 1
         assert err.startswith("error: ValidationError: line 2:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--end-year", "99999999999999999999", "end_year"),
+            ("--end-year", str(MAX_YEAR + 1), "end_year"),
+            ("--end-year", str(MIN_YEAR - 1), "end_year"),
+            ("--marginal-tol", "nan", "marginal_tolerance"),
+            ("--marginal-tol", "inf", "marginal_tolerance"),
+            ("--r-threshold", "nan", "r_threshold"),
+            ("--r-threshold", "inf", "r_threshold"),
+        ],
+    )
+    def test_out_of_range_run_flag_is_one_line_validation_error(
+        self, tmp_path, equal_profile_path, capsys, flag, value, field
+    ):
+        code, out, err = run(capsys, "analyze", equal_profile_path, "--out", tmp_path / "out", flag, value)
+        assert code == 1
+        assert err.startswith(f"error: ValidationError: {field} must be ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -309,6 +329,15 @@ class TestPlotdata:
         assert code == 0
         panel = (marked / "s_timepanel.csv").read_text().splitlines()
         assert all(row.endswith(",0.9") for row in panel[1:])
+
+    @pytest.mark.parametrize("mark", ["nan", "inf", "1.5", "-0.25"])
+    def test_soc_mark_outside_unit_interval_is_one_line_validation_error(self, tmp_path, capsys, mark):
+        series_path = tmp_path / "s.csv"
+        series_path.write_text("central_year,g,k,n_pubs,n_cites,skipped\n2000,0.5,0.7,5,50,\n2001,0.6,0.74,5,60,\n")
+        code, out, err = run(capsys, "plotdata", series_path, "--out", tmp_path / "out", "--soc-mark", mark)
+        assert code == 1
+        assert err.startswith("error: ValidationError: --soc-mark must be ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_existing_panel_refused_before_any_write(self, tmp_path, capsys):
         series_path = tmp_path / "s.csv"
@@ -600,8 +629,13 @@ class TestSynthCommand:
             ),
             (["--first-year", str(MAX_YEAR + 1), "--last-year", str(MAX_YEAR + 5)], "span_years"),
             (["--first-year", "1500", "--last-year", "1600"], "span_years"),
+            (["--seed", "-1"], "seed"),
+            (["--exponent", "nan"], "exponent"),
         ],
-        ids=["equal-value", *(f"uniform-value-seed{s}" for s in range(1, 5)), "future-span", "early-span"],
+        ids=[
+            "equal-value", *(f"uniform-value-seed{s}" for s in range(1, 5)), "future-span", "early-span",
+            "negative-seed", "nan-exponent",
+        ],
     )
     def test_out_of_range_spec_is_bad_spec(self, tmp_path, capsys, argv, field):
         out_file = tmp_path / "p.json"

@@ -1,4 +1,4 @@
-"""Lorenz construction and the Gini / Kolkata / Hirsch indices."""
+"""The Gini / Kolkata kernel and the Hirsch index."""
 
 import numpy as np
 import pytest
@@ -9,101 +9,65 @@ from citeineq import (
     EmptyInput,
     ValidationError,
     ZeroTotal,
-    build_lorenz,
-    gini,
     hirsch,
     index_pair,
     index_pairs,
-    kolkata,
 )
 from citeineq.lorenz import CHUNK
-from helpers import fraction_pair, gini_pairwise
+from helpers import fraction_pair, gini_pairwise, lorenz_at
 
 # nonempty, not all zero, bounded like real citation counts
 count_vectors = st.lists(st.integers(0, 10**5), min_size=1, max_size=200).filter(any)
 
 
-class TestBuildLorenz:
-    def test_equality_line(self):
-        curve = build_lorenz([5, 5, 5, 5])
-        assert np.allclose(curve.p, [0, 0.25, 0.5, 0.75, 1])
-        assert np.allclose(curve.shares, [0, 0.25, 0.5, 0.75, 1])
-
-    def test_single_spike(self):
-        curve = build_lorenz([0, 0, 0, 10])
-        assert curve.shares.tolist() == [0, 0, 0, 0, 1]
-
-    def test_hand_cumulative_sums(self):
-        curve = build_lorenz([1, 2, 3, 4])
-        assert np.allclose(curve.shares, [0, 0.1, 0.3, 0.6, 1.0], atol=1e-15)
-
+class TestRefusals:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
-            build_lorenz([])
+            index_pair([])
 
     def test_all_zero_rejected(self):
         with pytest.raises(ZeroTotal):
-            build_lorenz([0, 0, 0])
+            index_pair([0, 0, 0])
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
-            build_lorenz([3, -1, 2])
-
-    @given(count_vectors)
-    def test_vertex_invariants(self, counts):
-        curve = build_lorenz(counts)
-        n = len(counts)
-        assert curve.n == n
-        assert curve.p[0] == 0.0 and curve.p[-1] == 1.0
-        assert curve.shares[0] == 0.0 and curve.shares[-1] == 1.0
-        assert np.allclose(np.diff(curve.p), 1.0 / n)
-        seg = np.diff(curve.shares)
-        assert np.all(seg >= 0)
-        # ascending sort makes successive slopes non-decreasing
-        assert np.all(np.diff(seg) >= -1e-15)
-        assert np.all(curve.shares <= curve.p + 1e-12)
-
-    @given(count_vectors)
-    def test_interpolation_hits_vertices(self, counts):
-        curve = build_lorenz(counts)
-        assert np.allclose(curve.interpolate(curve.p), curve.shares)
+            index_pair([3, -1, 2])
 
 
 class TestGini:
     def test_perfect_equality(self):
-        assert gini(build_lorenz([5, 5, 5, 5])) == 0.0
+        assert index_pair([5, 5, 5, 5]).g == 0.0
 
     def test_single_spike(self):
-        assert gini(build_lorenz([0, 0, 0, 10])) == pytest.approx(0.75, abs=1e-15)
+        assert index_pair([0, 0, 0, 10]).g == pytest.approx(0.75, abs=1e-15)
 
     def test_hand_case(self):
-        assert gini(build_lorenz([1, 2, 3, 4])) == pytest.approx(0.25, abs=1e-15)
+        assert index_pair([1, 2, 3, 4]).g == pytest.approx(0.25, abs=1e-15)
 
     @given(count_vectors)
     def test_matches_pairwise_oracle(self, counts):
-        assert gini(build_lorenz(counts)) == pytest.approx(gini_pairwise(counts), abs=1e-12)
+        assert index_pair(counts).g == pytest.approx(gini_pairwise(counts), abs=1e-12)
 
     @given(count_vectors)
     def test_bounds(self, counts):
-        assert 0.0 <= gini(build_lorenz(counts)) <= 1.0
+        assert 0.0 <= index_pair(counts).g <= 1.0
 
 
 class TestKolkata:
     def test_perfect_equality(self):
-        assert kolkata(build_lorenz([5, 5, 5, 5])) == 0.5
+        assert index_pair([5, 5, 5, 5]).k == 0.5
 
     def test_single_spike(self):
-        assert kolkata(build_lorenz([0, 0, 0, 10])) == pytest.approx(0.8, abs=1e-12)
+        assert index_pair([0, 0, 0, 10]).k == pytest.approx(0.8, abs=1e-12)
 
     def test_hand_case(self):
-        assert kolkata(build_lorenz([1, 2, 3, 4])) == pytest.approx(13 / 22, abs=1e-12)
+        assert index_pair([1, 2, 3, 4]).k == pytest.approx(13 / 22, abs=1e-12)
 
     @given(count_vectors)
     def test_fixed_point_residual(self, counts):
-        curve = build_lorenz(counts)
-        k = kolkata(curve)
+        k = index_pair(counts).k
         assert 0.5 <= k <= 1.0
-        assert abs(1.0 - curve.interpolate(k) - k) <= 1e-12
+        assert abs(1.0 - lorenz_at(counts, k) - k) <= 1e-12
 
     @given(st.integers(1, 150), st.integers(1, 10**5))
     def test_equality_maps_to_half(self, n, value):

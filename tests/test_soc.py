@@ -16,7 +16,6 @@ from citeineq import (
     career_summary,
     cites_per_paper,
     classify_crossing,
-    hirsch_sqrt_diagnostic,
     hirsch_sqrt_ratio,
     peak_ratio,
     window_series,
@@ -193,4 +192,4 @@ class TestHirschSqrtDiagnostic:
         series = window_series(profile, WindowConfig(end_year=2004))
         summary = career_summary(profile, series)
         expected = summary.h_index / (summary.n_cites ** 0.5)
-        assert hirsch_sqrt_diagnostic(summary) == pytest.approx(expected, rel=1e-12)
+        assert hirsch_sqrt_ratio(summary.h_index, summary.n_cites) == pytest.approx(expected, rel=1e-12)
