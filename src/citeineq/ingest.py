@@ -7,6 +7,14 @@ Two on-disk profile formats are accepted:
 * a JSON document with ``schema_version`` (= 1), ``name``, ``tags`` and a
   ``publications`` array of ``{id, year, citations}`` objects.
 
+Either format is read columns first: one pass collects the pub_id, year and
+citations of every row into three lists, and ``profiles.publication_rows``
+checks the row rules once over each whole column.  Only when a column breaks
+a rule are the rows gone through one by one, in file order, with the one row
+rule set of ``Publication``, to report the first bad row by its CSV line or
+JSON ``publications`` index; within a row, a CSV cell that is not an integer
+is reported before a rule the row breaks.
+
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file and whose names give distinct
 output file stems.  There is deliberately no network ingestion; snapshots
@@ -27,12 +35,14 @@ import math
 import os
 import re
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
-from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile
+from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile, publication_rows
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
@@ -47,10 +57,10 @@ PROFILE_SUFFIXES = (".csv", ".json")
 def load_profile(path) -> ResearcherProfile:
     """Load a researcher profile from a CSV or JSON file.
 
-    The format is chosen by the file suffix.  Rows are validated by
-    ``Publication`` and the profile by ``ResearcherProfile``; a row error
-    names its CSV line or JSON ``publications`` index.  The resulting
-    profile is in canonical (year, pub_id) order.
+    The format is chosen by the file suffix.  Rows are checked as columns
+    by ``publication_rows`` and the profile by ``ResearcherProfile``; a row
+    error names the first bad row's CSV line or JSON ``publications`` index.
+    The resulting profile is in canonical (year, pub_id) order.
     """
     path = _input_file(path, "profile")
     return _load_csv(path) if _profile_format(path) == ".csv" else _load_json(path)
@@ -64,11 +74,17 @@ def _profile_format(path: Path) -> str:
     return suffix
 
 
-def _parse_int(text: str, what: str, line: int) -> int:
+def _parse_int(cell: str | int, what: str, line: int) -> int:
+    """A year or citations cell as an int.
+
+    A cell is text until ``_load_csv`` has parsed its whole column in place.
+    """
+    if type(cell) is int:
+        return cell
     try:
-        return int(text.strip())
+        return int(cell.strip())
     except ValueError:
-        raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
+        raise ParseError(f"{what} {cell!r} is not an integer", line=line) from None
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
@@ -166,16 +182,46 @@ def csv_rows(lines, header: list[str]):
 
 
 def _load_csv(path: Path) -> ResearcherProfile:
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        try:
-            pubs = list(_csv_publications(fh))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+    columns = line_steps, ids, years, citations = [], [], [], []
+    try:
+        _read_csv_columns(path, columns)
+    except ParseError:
+        list(_csv_publications(*columns))  # a bad row above a malformed one comes first
+        raise
+    try:
+        # both columns or neither are parsed in place, freeing the text cells
+        # before the rows are built
+        years[:], citations[:] = list(map(int, years)), list(map(int, citations))
+        pubs = publication_rows(ids, years, citations)
+    except (ValueError, ValidationError):  # a cell that is not an integer, or a bad row
+        pubs = list(_csv_publications(*columns))
     return ResearcherProfile(name=path.stem, tags=[], publications=pubs)
 
 
-def _csv_publications(fh):
-    for line, (pub_id, year, citations) in csv_rows(fh, CSV_HEADER):
+def _read_csv_columns(path: Path, columns) -> None:
+    """Append each row's line step and three cells to the four ``columns``.
+
+    The rows stream in; only the columns are held.  A row's line number is
+    kept as its step from the row before, almost always 1: a small int is
+    cached, so no int object is held per row.
+    """
+    line_steps, ids, years, citations = columns
+    last_line = 0
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            for line, (pub_id, year, cites) in csv_rows(fh, CSV_HEADER):
+                line_steps.append(line - last_line)
+                last_line = line
+                ids.append(pub_id)
+                years.append(year)
+                citations.append(cites)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
+
+
+def _csv_publications(line_steps, ids, year_cells, citation_cells):
+    """The rows of CSV columns, one by one; the first bad row raises, naming its line."""
+    for line, pub_id, year, citations in zip(accumulate(line_steps), ids, year_cells, citation_cells):
         year = _parse_int(year, "year", line)
         citations = _parse_int(citations, "citations", line)
         try:
@@ -200,15 +246,24 @@ def _load_json(path: Path) -> ResearcherProfile:
     raw_pubs = doc.get("publications")
     if not isinstance(raw_pubs, list):
         raise ParseError("profile 'publications' must be an array")
-    pubs = []
+    try:
+        pubs = publication_rows(
+            *(list(map(itemgetter(key), raw_pubs)) for key in ("id", "year", "citations"))
+        )
+    except (TypeError, KeyError, ValidationError):  # a record without the keys, or a bad row
+        pubs = list(_json_publications(raw_pubs))
+    return ResearcherProfile(name=name, tags=list(tags), publications=pubs)
+
+
+def _json_publications(raw_pubs):
+    """The rows of JSON records, one by one; the first bad record raises, naming its index."""
     for i, rec in enumerate(raw_pubs):
         if not isinstance(rec, dict) or not {"id", "year", "citations"} <= rec.keys():
             raise ParseError(f"publications[{i}] must have id, year and citations")
         try:
-            pubs.append(Publication(pub_id=rec["id"], year=rec["year"], citations=rec["citations"]))
+            yield Publication(pub_id=rec["id"], year=rec["year"], citations=rec["citations"])
         except ValidationError as exc:
             raise ValidationError(f"publications[{i}]: {exc}") from None
-    return ResearcherProfile(name=name, tags=list(tags), publications=pubs)
 
 
 def write_profile(profile: ResearcherProfile, path) -> Path:
@@ -304,6 +359,12 @@ def file_stem(name: str) -> str:
     return "-".join(filter(None, cleaned.split("-"))) or "profile"
 
 
+#: Most papers a synthetic profile may have: ten times the largest profile
+#: that CI runs through the CLI (10^5 papers).  Building one this large
+#: takes about 300 MB and 5 s.
+MAX_SYNTH_PAPERS = 10**6
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     """Recipe for a deterministic synthetic profile.
@@ -323,8 +384,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.model not in ("powerlaw", "uniform", "equal"):
             raise BadSpec(f"unknown model {self.model!r}")
-        if self.n_papers < 1:
-            raise BadSpec("n_papers must be >= 1")
+        if not 1 <= self.n_papers <= MAX_SYNTH_PAPERS:
+            raise BadSpec(f"n_papers must be in [1, {MAX_SYNTH_PAPERS}], got {self.n_papers}")
         if not math.isfinite(self.exponent):
             raise BadSpec(f"exponent must be finite, got {self.exponent}")
         if self.model == "powerlaw" and self.exponent <= 1.0:
@@ -354,10 +415,8 @@ def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile
         u = rng.random(spec.n_papers)
         counts = np.minimum(np.floor(u ** (-1.0 / (spec.exponent - 1.0))), MAX_CITATIONS)
     width = len(str(spec.n_papers))
-    pubs = [
-        Publication(pub_id=f"p{i + 1:0{width}d}", year=int(years[i]), citations=int(counts[i]))
-        for i in range(spec.n_papers)
-    ]
+    ids = [f"p{i:0{width}d}" for i in range(1, spec.n_papers + 1)]
+    pubs = publication_rows(ids, years.tolist(), counts.astype(np.int64).tolist())
     if name is None:
         name = f"{spec.model}-n{spec.n_papers}-seed{spec.seed}"
     return ResearcherProfile(name=name, tags=["synthetic", spec.model], publications=pubs)

@@ -1,11 +1,25 @@
 """Shared oracles and builders for the test suite."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
-from citeineq import IndexSeries, Publication, ResearcherProfile, WindowEntry
+from citeineq import (
+    EmptyProfile,
+    IndexSeries,
+    ParseError,
+    Publication,
+    ResearcherProfile,
+    SchemaError,
+    ValidationError,
+    WindowEntry,
+)
+from citeineq import ingest
+from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 
 # Integer vector whose window statistics show g >= k and a peak ratio >= 40;
 # heavy-tailed with many barely-cited papers, like a real crossing career.
@@ -76,3 +90,101 @@ def series_from_pairs(pairs, start_year: int = 2000) -> IndexSeries:
         for i, (g, k) in enumerate(pairs)
     ]
     return IndexSeries(entries=entries)
+
+
+@dataclass(frozen=True)
+class RowByRowPublication:
+    """The row rules as one validated dataclass per row, kept as the reference
+    for the loaders' column check."""
+
+    pub_id: str
+    year: int
+    citations: int
+
+    def __post_init__(self):
+        if type(self.pub_id) is not str or not self.pub_id:
+            raise ValidationError(f"pub_id must be a nonempty string, got {self.pub_id!r}")
+        if type(self.year) is not int or not MIN_YEAR <= self.year <= MAX_YEAR:
+            raise ValidationError(
+                f"publication {self.pub_id!r}: year {self.year!r} is not a "
+                f"4-digit calendar year in [{MIN_YEAR}, {MAX_YEAR}]"
+            )
+        if type(self.citations) is not int or not 0 <= self.citations <= MAX_CITATIONS:
+            raise ValidationError(
+                f"publication {self.pub_id!r}: citations must be an integer "
+                f"in [0, {MAX_CITATIONS}], got {self.citations!r}"
+            )
+
+
+def row_by_row_load(path) -> tuple[str, list[str], list[tuple[str, int, int]]]:
+    """Reference profile loader: each row parsed and validated in file order,
+    then the profile checked and sorted, as ``load_profile`` did before its
+    rows were read as columns.
+
+    Returns the name, the tags and the (pub_id, year, citations) rows in
+    (year, pub_id) order, or raises the error ``load_profile`` must raise.
+    File and document checks come from ``ingest``, unchanged.
+    """
+    path = Path(path)
+    if path.suffix.lower() == ".csv":
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            try:
+                pubs = list(_row_by_row_csv(fh))
+            except UnicodeDecodeError as exc:
+                raise ingest._not_utf8(path, exc) from None
+        name, tags = path.stem, []
+    else:
+        name, tags, pubs = _row_by_row_json(path)
+    if not pubs:
+        raise EmptyProfile(f"profile {name!r} has no publications")
+    seen: set[str] = set()
+    for pub in pubs:
+        if pub.pub_id in seen:
+            raise ValidationError(f"duplicate pub_id {pub.pub_id!r}")
+        seen.add(pub.pub_id)
+    pubs.sort(key=attrgetter("year", "pub_id"))
+    return name, tags, [(p.pub_id, p.year, p.citations) for p in pubs]
+
+
+def _row_by_row_int(text: str, what: str, line: int) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
+
+
+def _row_by_row_csv(fh):
+    for line, (pub_id, year, citations) in ingest.csv_rows(fh, ingest.CSV_HEADER):
+        year = _row_by_row_int(year, "year", line)
+        citations = _row_by_row_int(citations, "citations", line)
+        try:
+            yield RowByRowPublication(pub_id=pub_id, year=year, citations=citations)
+        except ValidationError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+
+
+def _row_by_row_json(path: Path):
+    doc = ingest._read_json(path, "profile")
+    if not isinstance(doc, dict):
+        raise ParseError("profile document must be a JSON object")
+    version = doc.get("schema_version")
+    if version != ingest.SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema_version {version!r} (expected {ingest.SCHEMA_VERSION})")
+    name = doc.get("name")
+    if not isinstance(name, str) or not name:
+        raise ValidationError("profile 'name' must be a nonempty string")
+    tags = doc.get("tags", [])
+    if not isinstance(tags, list) or any(not isinstance(t, str) for t in tags):
+        raise ValidationError("profile 'tags' must be an array of strings")
+    raw_pubs = doc.get("publications")
+    if not isinstance(raw_pubs, list):
+        raise ParseError("profile 'publications' must be an array")
+    pubs = []
+    for i, rec in enumerate(raw_pubs):
+        if not isinstance(rec, dict) or not {"id", "year", "citations"} <= rec.keys():
+            raise ParseError(f"publications[{i}] must have id, year and citations")
+        try:
+            pubs.append(RowByRowPublication(pub_id=rec["id"], year=rec["year"], citations=rec["citations"]))
+        except ValidationError as exc:
+            raise ValidationError(f"publications[{i}]: {exc}") from None
+    return name, list(tags), pubs

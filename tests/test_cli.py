@@ -631,10 +631,12 @@ class TestSynthCommand:
             (["--first-year", "1500", "--last-year", "1600"], "span_years"),
             (["--seed", "-1"], "seed"),
             (["--exponent", "nan"], "exponent"),
+            (["--n-papers", "99999999999999999999"], "n_papers"),
+            (["--n-papers", str(10**6 + 1)], "n_papers"),
         ],
         ids=[
             "equal-value", *(f"uniform-value-seed{s}" for s in range(1, 5)), "future-span", "early-span",
-            "negative-seed", "nan-exponent",
+            "negative-seed", "nan-exponent", "huge-n-papers", "n-papers-over-cap",
         ],
     )
     def test_out_of_range_spec_is_bad_spec(self, tmp_path, capsys, argv, field):

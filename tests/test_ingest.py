@@ -1,14 +1,17 @@
 """Profile file loading, canonical export, manifests, and synthesis."""
 
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from citeineq import (
     BadSpec,
+    CiteIneqError,
     ParseError,
     Publication,
     ResearcherProfile,
@@ -23,7 +26,7 @@ from citeineq import (
 )
 from citeineq import ingest
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
-from helpers import gini_pairwise
+from helpers import gini_pairwise, row_by_row_load
 
 BOM = b"\xef\xbb\xbf"
 
@@ -206,6 +209,181 @@ class TestJsonLoading:
         doc = self.doc(publications=[{"id": "x", "year": 2001}])
         with pytest.raises(ParseError):
             load_profile(write(tmp_path, "u.json", json.dumps(doc)))
+
+
+def csv_text(rows, blank_after=()) -> str:
+    """Profile CSV text of rows of cells, with an empty line after each row index in ``blank_after``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["pub_id", "year", "citations"])
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        if i in blank_after:
+            out.write("\n")
+    return out.getvalue()
+
+
+def json_text(records) -> str:
+    return json.dumps({"schema_version": 1, "name": "J", "tags": ["t"], "publications": records})
+
+
+def profile_file(tmp_path, fmt: str, rows):
+    """A CSV or JSON profile file of (pub_id, year, citations) rows, in their order."""
+    if fmt == "csv":
+        return write(tmp_path, "p.csv", csv_text(rows))
+    return write(tmp_path, "p.json", json_text([dict(zip(("id", "year", "citations"), row)) for row in rows]))
+
+
+def load_outcome(load, path):
+    """What loading ``path`` gives: the error's type and message, or the result."""
+    try:
+        return load(path)
+    except CiteIneqError as exc:
+        return type(exc), str(exc)
+
+
+def columnar_load(path):
+    """``load_profile``'s result in the form of ``row_by_row_load``'s."""
+    profile = load_profile(path)
+    rows = [(pub.pub_id, pub.year, pub.citations) for pub in profile.publications]
+    assert profile.years.tolist() == [year for _, year, _ in rows]
+    assert profile.citations.tolist() == [cites for _, _, cites in rows]
+    return profile.name, profile.tags, rows
+
+
+#: Padding that the CSV integer parse strips; the last is not whitespace to ``int`` alone.
+PADS = ["", " ", "\t", "\x1c"]
+
+#: The faults a record may be given, each as (field, values it may take).
+#: A field of None drops one of the keys listed; values of None copy the id
+#: of a record drawn from the profile.
+FAULTS = [
+    *((field, ["x", "1.5", "", " ", "1e3", "true", "0x10", "12", 1.5, None, [2000]])
+      for field in ("year", "citations")),  # not an integer (a CSV cell or a JSON value)
+    ("year", [MIN_YEAR - 1, 0, -1, -(2**63) - 1]),
+    ("year", [MAX_YEAR + 1, 2**63 - 1, 2**63, 2**64 + 1, 10**30]),
+    ("citations", [-1, -(2**63), -(2**64)]),
+    ("citations", [MAX_CITATIONS + 1, 2**63 - 1, 2**63, 10**30]),
+    *((field, [True, False]) for field in ("year", "citations")),  # a JSON boolean
+    ("id", [""]),
+    ("id", None),
+    (None, ["id", "year", "citations"]),  # a missing key, or a CSV row short of a cell
+]
+
+
+@st.composite
+def faulty_records(draw):
+    """Up to eight publication records with zero to three injected faults."""
+    records = [
+        {
+            "id": f"p{i}" + draw(st.sampled_from(["", "\0", "\nq", ","])),
+            "year": draw(st.integers(MIN_YEAR, MAX_YEAR)),
+            "citations": draw(st.integers(0, MAX_CITATIONS) | st.integers(0, 9)),
+        }
+        for i in range(draw(st.integers(0, 8)))
+    ]
+    for _ in range(draw(st.integers(0, 3)) if records else 0):
+        rec = draw(st.sampled_from(records))
+        field, values = draw(st.sampled_from(FAULTS))
+        if field is None:
+            rec.pop(draw(st.sampled_from(values)), None)
+        elif values is None:
+            rec["id"] = draw(st.sampled_from(records)).get("id", "p0")
+        else:
+            rec[field] = draw(st.sampled_from(values))
+    return records
+
+
+def csv_cell(value, pad: str) -> str:
+    """A record value as a CSV cell; an integer is padded."""
+    return f"{pad}{value}{pad}" if type(value) is int else str(value)
+
+
+class TestRowErrorOrder:
+    """The columnar loader against the row-by-row reference: the same rows,
+    or the same error type and message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_records(), st.tuples(st.sampled_from(PADS), st.sampled_from(PADS)), st.sets(st.integers(0, 8)))
+    def test_csv_matches_row_by_row(self, tmp_path_factory, records, pads, blank_after):
+        rows = [
+            [csv_cell(rec[key], pad) for key, pad in zip(("id", "year", "citations"), ["", *pads]) if key in rec]
+            for rec in records
+        ]
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        path.write_text(csv_text(rows, blank_after), encoding="utf-8")
+        assert load_outcome(columnar_load, path) == load_outcome(row_by_row_load, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(faulty_records())
+    def test_json_matches_row_by_row(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("json") / "p.json"
+        path.write_text(json_text(records), encoding="utf-8")
+        assert load_outcome(columnar_load, path) == load_outcome(row_by_row_load, path)
+
+    @pytest.mark.parametrize("line_5", [["p4", "abc", "1"], ["p4", "2001"]], ids=["not-integer", "two-cells"])
+    def test_validation_error_on_line_3_beats_parse_error_on_line_5(self, tmp_path, line_5):
+        rows = [["p1", "2001", "1"], ["p2", "1500", "1"], ["p3", "2001", "1"], line_5]
+        path = write(tmp_path, "v.csv", csv_text(rows))
+        with pytest.raises(ValidationError, match=r"^line 3: publication 'p2': year 1500 "):
+            load_profile(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (["", "2001", "x"], "line 2: citations 'x' is not an integer"),
+            (["p1", "abc", "-1"], "line 2: year 'abc' is not an integer"),
+            (["p1", "1500", "1.0"], "line 2: citations '1.0' is not an integer"),
+        ],
+    )
+    def test_parse_error_beats_validation_error_in_same_row(self, tmp_path, row, message):
+        path = write(tmp_path, "p.csv", csv_text([row]))
+        with pytest.raises(ParseError) as info:
+            load_profile(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_duplicate_reported_by_its_first_repeat(self, tmp_path, fmt):
+        # in (year, pub_id) order, or in id order, the first duplicate would be 'a'
+        rows = [("z", 2003, 1), ("a", 2001, 1), ("z", 2000, 1), ("a", 2002, 1)]
+        with pytest.raises(ValidationError) as info:
+            load_profile(profile_file(tmp_path, fmt, rows))
+        assert str(info.value) == "duplicate pub_id 'z'"
+
+
+class TestPublication:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("p", True, 1), "year True"),
+            (("p", 2000, False), "got False"),
+            (("", 2000, 1), "pub_id must be a nonempty string"),
+            (("p", 2000, MAX_CITATIONS + 1), f"got {MAX_CITATIONS + 1}"),
+            (("p", 2000, -1), "got -1"),
+        ],
+    )
+    def test_construction_validates(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            Publication(*fields)
+        with pytest.raises(ValidationError, match=message):
+            Publication(**dict(zip(("pub_id", "year", "citations"), fields)))
+
+    def test_is_a_tuple_equal_to_its_fields(self):
+        # the cost of the NamedTuple, accepted in Publication's docstring
+        pub = Publication("p", 2000, 3)
+        assert pub == ("p", 2000, 3) and hash(pub) == hash(("p", 2000, 3))
+        pub_id, year, citations = pub
+        assert (pub_id, year, citations) == (pub.pub_id, pub.year, pub.citations)
+        assert repr(pub) == "Publication(pub_id='p', year=2000, citations=3)"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ids_differing_by_a_trailing_nul_stay_distinct(self, tmp_path, fmt):
+        rows = [("a\0", 2001, 1), ("b", 2000, 3), ("a", 2001, 2)]
+        profile = load_profile(profile_file(tmp_path, fmt, rows))
+        assert [(p.pub_id, p.year, p.citations) for p in profile.publications] == [
+            ("b", 2000, 3), ("a", 2001, 2), ("a\0", 2001, 1)
+        ]
+        assert profile.citations.tolist() == [3, 2, 1]
 
 
 class TestRoundTrip:
