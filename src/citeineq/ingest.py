@@ -7,13 +7,16 @@ Two on-disk profile formats are accepted:
 * a JSON document with ``schema_version`` (= 1), ``name``, ``tags`` and a
   ``publications`` array of ``{id, year, citations}`` objects.
 
-Either format is read columns first: one pass collects the pub_id, year and
-citations of every row into three lists, and ``profiles.publication_rows``
-checks the row rules once over each whole column.  Only when a column breaks
-a rule are the rows gone through one by one, in file order, with the one row
-rule set of ``Publication``, to report the first bad row by its CSV line or
-JSON ``publications`` index; within a row, a CSV cell that is not an integer
-is reported before a rule the row breaks.
+Either format is read as columns: one pass collects the pub_id, year and
+citations of every row into three lists, which go straight to
+``ResearcherProfile``; it checks the row rules once over each whole column.
+No per-row object is built for a valid file.  Only when the profile refuses
+the columns, or a CSV cell is not an integer, are the rows gone through one
+by one, in file order, with the one row rule set of ``Publication``, to
+report the first bad row by its CSV line or JSON ``publications`` index;
+within a row, a CSV cell that is not an integer is reported before a rule
+the row breaks.  When no row is bad, the profile's own error (a duplicate
+pub_id) stands.
 
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file and whose names give distinct
@@ -42,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
-from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile, publication_rows
+from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
@@ -57,9 +60,9 @@ PROFILE_SUFFIXES = (".csv", ".json")
 def load_profile(path) -> ResearcherProfile:
     """Load a researcher profile from a CSV or JSON file.
 
-    The format is chosen by the file suffix.  Rows are checked as columns
-    by ``publication_rows`` and the profile by ``ResearcherProfile``; a row
-    error names the first bad row's CSV line or JSON ``publications`` index.
+    The format is chosen by the file suffix.  The columns are checked by
+    ``ResearcherProfile``; a row error names the first bad row's CSV line or
+    JSON ``publications`` index.
     The resulting profile is in canonical (year, pub_id) order.
     """
     path = _input_file(path, "profile")
@@ -190,12 +193,15 @@ def _load_csv(path: Path) -> ResearcherProfile:
         raise
     try:
         # both columns or neither are parsed in place, freeing the text cells
-        # before the rows are built
+        # before the profile is built
         years[:], citations[:] = list(map(int, years)), list(map(int, citations))
-        pubs = publication_rows(ids, years, citations)
-    except (ValueError, ValidationError):  # a cell that is not an integer, or a bad row
-        pubs = list(_csv_publications(*columns))
-    return ResearcherProfile(name=path.stem, tags=[], publications=pubs)
+        return ResearcherProfile(path.stem, [], ids, years, citations)
+    except (ValueError, ValidationError) as exc:  # a cell that is not an integer, or a refused column
+        pubs = list(_csv_publications(*columns))  # the first bad row raises, naming its line
+        if isinstance(exc, ValidationError):
+            raise
+    # only ``str.strip`` makes every cell an integer
+    return ResearcherProfile(path.stem, [], *zip(*pubs))
 
 
 def _read_csv_columns(path: Path, columns) -> None:
@@ -247,12 +253,11 @@ def _load_json(path: Path) -> ResearcherProfile:
     if not isinstance(raw_pubs, list):
         raise ParseError("profile 'publications' must be an array")
     try:
-        pubs = publication_rows(
-            *(list(map(itemgetter(key), raw_pubs)) for key in ("id", "year", "citations"))
-        )
-    except (TypeError, KeyError, ValidationError):  # a record without the keys, or a bad row
-        pubs = list(_json_publications(raw_pubs))
-    return ResearcherProfile(name=name, tags=list(tags), publications=pubs)
+        columns = [list(map(itemgetter(key), raw_pubs)) for key in ("id", "year", "citations")]
+        return ResearcherProfile(name, list(tags), *columns)
+    except (TypeError, KeyError, ValidationError):  # a record without the keys, or a refused column
+        list(_json_publications(raw_pubs))  # the first bad record raises, naming its index
+        raise
 
 
 def _json_publications(raw_pubs):
@@ -413,10 +418,11 @@ def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile
         counts = rng.integers(0, spec.value + 1, size=spec.n_papers)
     else:
         u = rng.random(spec.n_papers)
-        counts = np.minimum(np.floor(u ** (-1.0 / (spec.exponent - 1.0))), MAX_CITATIONS)
+        # an exponent near 1, or a draw of exactly 0, sends a count to inf, which the cap clips
+        with np.errstate(over="ignore", divide="ignore"):
+            counts = np.minimum(np.floor(u ** (-1.0 / (spec.exponent - 1.0))), MAX_CITATIONS)
     width = len(str(spec.n_papers))
     ids = [f"p{i:0{width}d}" for i in range(1, spec.n_papers + 1)]
-    pubs = publication_rows(ids, years.tolist(), counts.astype(np.int64).tolist())
     if name is None:
         name = f"{spec.model}-n{spec.n_papers}-seed{spec.seed}"
-    return ResearcherProfile(name=name, tags=["synthetic", spec.model], publications=pubs)
+    return ResearcherProfile(name, ["synthetic", spec.model], ids, years, counts.astype(np.int64))

@@ -3,20 +3,23 @@
 Citation counts are present-day totals attributed to the publication year;
 no accrual history is modelled.
 
-Rows arrive as columns: a loader collects the pub_id, year and citations
-cells of a file into three lists, and ``publication_rows`` checks the row
-rules once over each whole column before it makes the ``Publication`` rows.
-The row rules and their messages are written once, in ``Publication``; a
-column that breaks one is gone through row by row to name the first bad row.
-A profile checks only what spans rows (nonempty, unique pub_id), sorts by
-(year, pub_id) so that no result depends on input file order, and keeps the
-sorted ``years`` and ``citations`` as int64 columns.
+A profile holds its papers as three columns in (year, pub_id) order:
+``pub_ids``, a list of strings, and ``years`` and ``citations``, read-only
+int64 arrays, so that each window is a contiguous slice of them.  It is
+built from three columns in any order, as a loader reads them from a file.
+The row rules are checked once over each whole column: the cell types, that
+no id is empty, and each column's minimum and maximum.  The rules and their
+messages are written once, in ``Publication``; only columns that break one
+are gone through row by row, with ``Publication(...)``, so that the first
+bad row raises.  The profile then checks what spans rows (at least one
+paper, unique pub_ids) and sorts the columns by one index permutation, so
+that no result depends on input order.  ``profile.publications`` builds the
+rows from the columns on each call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -43,7 +46,7 @@ class Publication(_Row):
 
     The exact ``int`` type checks keep a JSON ``true`` from counting as 1.
     ``Publication._make`` (and so ``_replace``) builds a row without the
-    checks; it is meant for columns that ``publication_rows`` has checked.
+    checks; it is meant for the columns of a ``ResearcherProfile``.
 
     A publication is a ``NamedTuple``, so that a row costs one small tuple.
     It therefore equals, hashes and orders like the plain tuple
@@ -70,50 +73,87 @@ class Publication(_Row):
         return super().__new__(cls, pub_id, year, citations)
 
 
-def publication_rows(ids: list, years: list, citations: list) -> list[Publication]:
-    """The ``Publication`` rows of three equal-length columns, in column order.
+def _cells(column):
+    """The cells of a column: a numpy column's are its ``tolist()``."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
 
-    Each row rule is checked once over a whole column: the cell types, that
-    no id is empty, and each column's minimum and maximum.  Clean columns
-    become rows through ``Publication._make`` with no second check.  Otherwise
-    the rows are built one by one, and the first bad row raises its
-    ``ValidationError``.
+
+def _int64_column(column, lo: int, hi: int) -> np.ndarray | None:
+    """``column`` as an int64 array if every cell is an ``int`` in [lo, hi], else None.
+
+    A 1-d integer numpy column is checked by its dtype, minimum and maximum,
+    without its cells; a bool or float one has no ``int`` cells.
     """
-    if (
-        set(map(type, ids)) <= {str} and all(ids)
-        and set(map(type, years)) <= {int}
-        and MIN_YEAR <= min(years, default=MIN_YEAR) and max(years, default=MAX_YEAR) <= MAX_YEAR
-        and set(map(type, citations)) <= {int}
-        and 0 <= min(citations, default=0) and max(citations, default=0) <= MAX_CITATIONS
-    ):
-        return list(map(Publication._make, zip(ids, years, citations)))
-    return list(map(Publication, ids, years, citations))
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "iu":
+        low, high = (column.min(), column.max()) if column.size else (lo, hi)
+    else:
+        column = _cells(column)
+        if not set(map(type, column)) <= {int}:
+            return None
+        low, high = min(column, default=lo), max(column, default=hi)
+    return np.asarray(column, np.int64) if lo <= low and high <= hi else None
 
 
-_pub_id, _year, _citations = attrgetter("pub_id"), attrgetter("year"), attrgetter("citations")
-
-
-@dataclass
+@dataclass(eq=False)
 class ResearcherProfile:
+    """A named, tagged set of papers, held as three columns in (year, pub_id) order.
+
+    Built from three equal-length columns in any order: ``pub_ids`` strings,
+    and ``years`` and ``citations`` as lists of ``int`` or integer numpy
+    arrays.  On construction ``pub_ids`` becomes a list and the other two
+    read-only int64 arrays, sorted together.  Two profiles are equal when
+    their name, tags and rows are.
+    """
+
     name: str
-    tags: list[str] = field(default_factory=list)
-    publications: list[Publication] = field(default_factory=list)
-    years: np.ndarray = field(init=False, repr=False, compare=False)
-    citations: np.ndarray = field(init=False, repr=False, compare=False)
+    tags: list[str]
+    pub_ids: list[str]
+    years: np.ndarray
+    citations: np.ndarray
 
     def __post_init__(self):
-        pubs = self.publications
-        if not pubs:
+        ids = _cells(self.pub_ids)
+        if not len(ids) == len(self.years) == len(self.citations):
+            raise ValidationError(
+                f"profile {self.name!r}: columns must have equal lengths, got "
+                f"{len(ids)} pub_ids, {len(self.years)} years and {len(self.citations)} citations"
+            )
+        years = _int64_column(self.years, MIN_YEAR, MAX_YEAR)
+        citations = _int64_column(self.citations, 0, MAX_CITATIONS)
+        if years is None or citations is None or not (set(map(type, ids)) <= {str} and all(ids)):
+            # the check fails exactly when some row breaks a rule; the first one raises
+            list(map(Publication, ids, _cells(self.years), _cells(self.citations)))
+        if not ids:
             raise EmptyProfile(f"profile {self.name!r} has no publications")
-        if len(set(map(_pub_id, pubs))) < len(pubs):
+        if len(set(ids)) < len(ids):
             seen: set[str] = set()
-            for pub in pubs:
-                if pub.pub_id in seen:
-                    raise ValidationError(f"duplicate pub_id {pub.pub_id!r}")
-                seen.add(pub.pub_id)
-        # two stable sorts give (year, pub_id) order, comparing ids as Python
-        # strings: a numpy string array would drop their trailing NULs
-        pubs.sort(key=_pub_id)
-        pubs.sort(key=_year)
-        self.years = np.fromiter(map(_year, pubs), np.int64, len(pubs))
-        self.citations = np.fromiter(map(_citations, pubs), np.int64, len(pubs))
+            for pub_id in ids:
+                if pub_id in seen:
+                    raise ValidationError(f"duplicate pub_id {pub_id!r}")
+                seen.add(pub_id)
+        # (year, pub_id) order: the ids are ranked as Python strings, since a
+        # numpy string array would drop their trailing NULs, and one sort of the
+        # distinct keys year * n + rank puts the years first.  A stable argsort
+        # would do too, but its first call in a process costs about 0.2 MB of RSS.
+        n = len(ids)
+        by_id = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
+        keys = years[by_id] * n + np.arange(n)
+        keys.sort()
+        order = by_id[keys % n]
+        self.pub_ids = list(map(ids.__getitem__, order.tolist()))
+        self.years, self.citations = years[order], citations[order]
+        self.years.flags.writeable = self.citations.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, ResearcherProfile):
+            return NotImplemented
+        return (
+            (self.name, self.tags, self.pub_ids) == (other.name, other.tags, other.pub_ids)
+            and np.array_equal(self.years, other.years)
+            and np.array_equal(self.citations, other.citations)
+        )
+
+    @property
+    def publications(self) -> list[Publication]:
+        """The rows in (year, pub_id) order, built from the columns on each call."""
+        return list(map(Publication._make, zip(self.pub_ids, self.years.tolist(), self.citations.tolist())))

@@ -80,7 +80,13 @@ def make_profile(citations_by_year: dict[int, list[int]], name: str = "test") ->
     for year in sorted(citations_by_year):
         for j, cites in enumerate(citations_by_year[year]):
             pubs.append(Publication(pub_id=f"{year}-{j:03d}", year=year, citations=int(cites)))
-    return ResearcherProfile(name=name, tags=[], publications=pubs)
+    return profile_of(pubs, name=name)
+
+
+def profile_of(rows, name: str = "test", tags=()) -> ResearcherProfile:
+    """A profile of (pub_id, year, citations) rows, given to the constructor as columns."""
+    ids, years, citations = map(list, zip(*rows)) if rows else ([], [], [])
+    return ResearcherProfile(name, list(tags), ids, years, citations)
 
 
 def series_from_pairs(pairs, start_year: int = 2000) -> IndexSeries:
@@ -135,6 +141,28 @@ def row_by_row_load(path) -> tuple[str, list[str], list[tuple[str, int, int]]]:
         name, tags = path.stem, []
     else:
         name, tags, pubs = _row_by_row_json(path)
+    if not pubs:
+        raise EmptyProfile(f"profile {name!r} has no publications")
+    seen: set[str] = set()
+    for pub in pubs:
+        if pub.pub_id in seen:
+            raise ValidationError(f"duplicate pub_id {pub.pub_id!r}")
+        seen.add(pub.pub_id)
+    pubs.sort(key=attrgetter("year", "pub_id"))
+    return name, tags, [(p.pub_id, p.year, p.citations) for p in pubs]
+
+
+def row_by_row_profile(name, tags, ids, years, citations):
+    """Reference for ``ResearcherProfile(name, tags, ids, years, citations)``:
+    each row validated in column order, then the profile checked and sorted,
+    as ``row_by_row_load`` does.  A numpy column's cells are its ``tolist()``.
+
+    Returns the name, the tags and the (pub_id, year, citations) rows in
+    (year, pub_id) order, or raises the error the constructor must raise.
+    """
+    cells = [column.tolist() if isinstance(column, np.ndarray) else list(column)
+             for column in (ids, years, citations)]
+    pubs = [RowByRowPublication(*row) for row in zip(*cells)]
     if not pubs:
         raise EmptyProfile(f"profile {name!r} has no publications")
     seen: set[str] = set()

@@ -3,7 +3,11 @@
 import argparse
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -22,9 +26,11 @@ from citeineq import (
     write_profile,
 )
 from citeineq.cli import build_parser, main
-from citeineq.profiles import MAX_YEAR, MIN_YEAR
+from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
 from helpers import CROSSING_WINDOW, make_profile
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -645,6 +651,21 @@ class TestSynthCommand:
         assert code == 1
         assert err.startswith(f"error: BadSpec: {field} ") and err.count("\n") == 1
         assert not out_file.exists()
+
+    def test_exponent_near_one_prints_only_capped_counts(self, tmp_path):
+        # draws past the cap overflow to inf before the cap clips them; a fresh
+        # interpreter shows the stderr a user sees, whatever pytest's warning filters
+        out_file = tmp_path / "p.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        synth = subprocess.run(
+            [sys.executable, "-m", "citeineq.cli", "synth", "--model", "powerlaw",
+             "--exponent", "1.01", "--n-papers", "5000", "--out", str(out_file)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (synth.returncode, synth.stderr) == (0, "")
+        counts = load_profile(out_file).citations
+        assert counts.max() == MAX_CITATIONS and counts.min() >= 1
 
     def test_bad_spec_is_input_error(self, tmp_path, capsys):
         code, out, err = run(

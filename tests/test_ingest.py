@@ -26,7 +26,7 @@ from citeineq import (
 )
 from citeineq import ingest
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
-from helpers import gini_pairwise, row_by_row_load
+from helpers import gini_pairwise, profile_of, row_by_row_load, row_by_row_profile
 
 BOM = b"\xef\xbb\xbf"
 
@@ -234,10 +234,10 @@ def profile_file(tmp_path, fmt: str, rows):
     return write(tmp_path, "p.json", json_text([dict(zip(("id", "year", "citations"), row)) for row in rows]))
 
 
-def load_outcome(load, path):
-    """What loading ``path`` gives: the error's type and message, or the result."""
+def outcome(build, *args):
+    """What ``build(*args)`` gives: the error's type and message, or the result."""
     try:
-        return load(path)
+        return build(*args)
     except CiteIneqError as exc:
         return type(exc), str(exc)
 
@@ -312,14 +312,14 @@ class TestRowErrorOrder:
         ]
         path = tmp_path_factory.mktemp("csv") / "p.csv"
         path.write_text(csv_text(rows, blank_after), encoding="utf-8")
-        assert load_outcome(columnar_load, path) == load_outcome(row_by_row_load, path)
+        assert outcome(columnar_load, path) == outcome(row_by_row_load, path)
 
     @settings(max_examples=300, deadline=None)
     @given(faulty_records())
     def test_json_matches_row_by_row(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("json") / "p.json"
         path.write_text(json_text(records), encoding="utf-8")
-        assert load_outcome(columnar_load, path) == load_outcome(row_by_row_load, path)
+        assert outcome(columnar_load, path) == outcome(row_by_row_load, path)
 
     @pytest.mark.parametrize("line_5", [["p4", "abc", "1"], ["p4", "2001"]], ids=["not-integer", "two-cells"])
     def test_validation_error_on_line_3_beats_parse_error_on_line_5(self, tmp_path, line_5):
@@ -401,13 +401,13 @@ class TestRoundTrip:
     @given(publication_lists)
     def test_csv_round_trip_is_exact(self, tmp_path_factory, pubs):
         # a CSV profile is named after its file and carries no tags
-        profile = ResearcherProfile(name="p", tags=[], publications=pubs)
+        profile = profile_of(pubs, name="p")
         path = write_profile(profile, tmp_path_factory.mktemp("csv") / "p.csv")
         assert load_profile(path) == profile
 
     @given(st.text(min_size=1), st.lists(st.text()), publication_lists)
     def test_json_round_trip_is_exact(self, tmp_path_factory, name, tags, pubs):
-        profile = ResearcherProfile(name=name, tags=tags, publications=pubs)
+        profile = profile_of(pubs, name=name, tags=tags)
         path = write_profile(profile, tmp_path_factory.mktemp("json") / "p.json")
         assert load_profile(path) == profile
 
@@ -501,20 +501,148 @@ class TestManifest:
         assert [e.name for e in load_manifest(path)] == ["A"]
 
 
+#: Cells that break a row rule, per column, for ``profile_columns``.
+CELL_FAULTS = (
+    ["", 5, None, b"p"],
+    [MIN_YEAR - 1, MAX_YEAR + 1, -(2**63), 2**63 - 1, 2**64, True, 2000.0, "2000", None],
+    [-1, MAX_CITATIONS + 1, -(2**63), 2**63 - 1, 10**30, False, 1.0, "1", None],
+)
+
+#: Ids that collide, differ only by trailing NULs, or are not ASCII.
+NEAR_IDS = ["a", "a\0", "a\0\0", "b", "\0", "é", "e\u0301", "文字", "ü\0"]
+
+
+@st.composite
+def profile_columns(draw):
+    """(ids, years, citations) of up to eight rows, with zero to two faults: a
+    bad cell or a repeated id.  Each numeric column is a list or, when its
+    cells allow, an int64 array."""
+    n = draw(st.integers(0, 8))
+    ids = st.sampled_from(NEAR_IDS) | st.text(min_size=1, max_size=3)
+    columns = [
+        draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+        draw(st.lists(st.integers(MIN_YEAR, MAX_YEAR), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, MAX_CITATIONS) | st.integers(0, 9), min_size=n, max_size=n)),
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        col, row = draw(st.integers(0, 3)), draw(st.integers(0, n - 1))
+        if col == 3:
+            columns[0][row] = columns[0][draw(st.integers(0, n - 1))]
+        else:
+            columns[col][row] = draw(st.sampled_from(CELL_FAULTS[col]))
+    for col in (1, 2):
+        cells = columns[col]
+        if set(map(type, cells)) <= {int} and all(-(2**63) <= v < 2**63 for v in cells) and draw(st.booleans()):
+            columns[col] = np.array(cells, dtype=np.int64)
+    return columns
+
+
+def constructed_rows(name, tags, ids, years, citations):
+    """``ResearcherProfile``'s result in the form of ``row_by_row_profile``'s."""
+    profile = ResearcherProfile(name, tags, ids, years, citations)
+    assert profile.years.dtype == profile.citations.dtype == np.int64
+    assert not (profile.years.flags.writeable or profile.citations.flags.writeable)
+    return profile.name, profile.tags, list(zip(profile.pub_ids, profile.years.tolist(), profile.citations.tolist()))
+
+
 class TestProfileColumns:
     def test_columns_follow_canonical_order(self):
         pubs = [Publication("b", 2003, 5), Publication("a", 2003, 7), Publication("c", 2001, 2)]
-        profile = ResearcherProfile(name="cols", publications=pubs)
+        profile = profile_of(pubs, name="cols")
         assert profile.years.dtype == profile.citations.dtype == np.int64
         assert profile.years.tolist() == [2001, 2003, 2003]
         assert profile.citations.tolist() == [2, 7, 5]
 
-    def test_columns_left_out_of_repr(self):
-        profile = ResearcherProfile(name="x", publications=[Publication("p", 2001, 1)])
+    def test_repr_shows_the_columns(self):
+        profile = ResearcherProfile("x", [], ["p"], [2001], [1])
         assert repr(profile) == (
-            "ResearcherProfile(name='x', tags=[], "
-            "publications=[Publication(pub_id='p', year=2001, citations=1)])"
+            "ResearcherProfile(name='x', tags=[], pub_ids=['p'], "
+            "years=array([2001]), citations=array([1]))"
         )
+        assert profile.publications == [Publication("p", 2001, 1)]
+
+    @given(profile_columns())
+    @settings(max_examples=300)
+    def test_constructor_matches_row_by_row(self, columns):
+        want = outcome(row_by_row_profile, "n", ["t"], *columns)
+        have = outcome(constructed_rows, "n", ["t"], *columns)
+        assert have == want
+
+    @pytest.mark.parametrize(
+        "column, cells, message",
+        [
+            ("years", np.array([True, False]), "year True is not a 4-digit calendar year"),
+            ("years", np.array([2000.0, 2001.0]), "year 2000.0 is not a 4-digit calendar year"),
+            ("years", np.array([2000, 2**64 - 1], np.uint64), f"year {2**64 - 1} is not"),
+            ("citations", np.array([False, True]), "citations must be an integer .* got False"),
+            ("citations", np.array([1.0, 2.0]), "citations must be an integer .* got 1.0"),
+            ("citations", np.array([1, 2**64 - 1], np.uint64), f"got {2**64 - 1}"),
+        ],
+        ids=["bool-years", "float-years", "uint64-years", "bool-citations", "float-citations", "uint64-citations"],
+    )
+    def test_numpy_column_dtypes_refused_by_their_cells(self, column, cells, message):
+        columns = {"pub_ids": ["a", "b"], "years": [2000, 2001], "citations": [1, 2], column: cells}
+        with pytest.raises(ValidationError, match=message):
+            ResearcherProfile("x", [], **columns)
+
+    def test_in_range_uint64_column_accepted(self):
+        ids, years, citations = ["b", "a"], [2001, 2001], [5, MAX_CITATIONS]
+        want = ResearcherProfile("x", [], ids, years, citations)
+        have = ResearcherProfile("x", [], ids, np.array(years, np.uint64), np.array(citations, np.uint64))
+        assert have == want and have.citations.dtype == np.int64
+        assert have.pub_ids == ["a", "b"] and have.citations.tolist() == [MAX_CITATIONS, 5]
+
+    def test_columns_of_unequal_length_refused(self):
+        with pytest.raises(ValidationError, match="2 pub_ids, 1 years and 2 citations"):
+            ResearcherProfile("x", [], ["a", "b"], [2000], [1, 2])
+
+    def test_columns_are_read_only_copies(self):
+        years, citations = np.array([2001, 2000]), np.array([4, 5])
+        profile = ResearcherProfile("x", [], ["a", "b"], years, citations)
+        for column in (profile.years, profile.citations):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        # the caller's arrays are neither reordered, frozen nor shared
+        years[0] = 1999
+        assert years.flags.writeable and citations.tolist() == [4, 5]
+        assert profile.years.tolist() == [2000, 2001] and profile.citations.tolist() == [5, 4]
+
+    @given(publication_lists)
+    def test_publications_always_match_the_columns(self, pubs):
+        profile = profile_of(pubs)
+        rows = profile.publications
+        assert rows == list(zip(profile.pub_ids, profile.years.tolist(), profile.citations.tolist()))
+        assert all(type(pub) is Publication for pub in rows)
+        assert sorted(rows, key=lambda pub: (pub.year, pub.pub_id)) == rows
+        rows.clear()  # a new list each call: editing it leaves the profile as it was
+        assert len(profile.publications) == len(pubs)
+
+    def test_equality_compares_name_tags_and_rows(self):
+        rows = [("a", 2001, 3), ("b", 2000, 4)]
+        profile = profile_of(rows, name="x", tags=["t"])
+        assert profile == profile_of(rows[::-1], name="x", tags=["t"])
+        assert profile != profile_of([("a", 2001, 3), ("b", 2000, 5)], name="x", tags=["t"])
+        assert profile != profile_of([("a", 2001, 3), ("b", 2001, 4)], name="x", tags=["t"])
+        assert profile != profile_of([("a", 2001, 3), ("c", 2000, 4)], name="x", tags=["t"])
+        assert profile != profile_of(rows, name="y", tags=["t"])
+        assert profile != profile_of(rows, name="x", tags=[])
+        assert profile != rows
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_clean_file_builds_no_publication(self, tmp_path, monkeypatch, fmt):
+        built = []
+        new, make = Publication.__new__, Publication._make.__func__
+        monkeypatch.setattr(Publication, "__new__", lambda cls, *a, **kw: built.append(a) or new(cls, *a, **kw))
+        monkeypatch.setattr(Publication, "_make", classmethod(lambda cls, it: built.append(it) or make(cls, it)))
+        rows = [(f"p{i}", 2000 + i % 7, i * 3) for i in range(50)]
+        profile = load_profile(profile_file(tmp_path, fmt, rows))
+        assert built == [] and len(profile.pub_ids) == 50
+        # the counters see the rows built on request, and those of a bad file
+        assert len(profile.publications) == len(built) == 50
+        (tmp_path / "bad").mkdir()
+        with pytest.raises(ValidationError):
+            load_profile(profile_file(tmp_path / "bad", fmt, rows + [("", 2000, 1)]))
+        assert len(built) > 50
 
 
 class TestSynthesis:

@@ -21,7 +21,7 @@ from citeineq import (
     yearly_average,
 )
 from citeineq.windows import SKIP_NO_PUBS
-from helpers import citations_in, fraction_pair, make_profile, series_from_pairs
+from helpers import citations_in, fraction_pair, make_profile, profile_of, series_from_pairs
 
 # year -> citation lists drawn like modest careers
 profiles = st.dictionaries(
@@ -100,7 +100,7 @@ class TestWindowSeries:
 
     def test_empty_profile_rejected_on_construction(self):
         with pytest.raises(EmptyProfile):
-            ResearcherProfile(name="nobody", tags=[], publications=[])
+            ResearcherProfile(name="nobody", tags=[], pub_ids=[], years=[], citations=[])
 
     def test_bad_config(self):
         with pytest.raises(ValidationError):
@@ -143,22 +143,19 @@ class TestWindowSeries:
 
     @given(profiles, st.integers(0, 2**32 - 1))
     def test_permutation_invariance(self, profile, seed):
-        order = np.random.default_rng(seed).permutation(len(profile.publications))
-        shuffled = ResearcherProfile(
-            name=profile.name,
-            tags=list(profile.tags),
-            publications=[profile.publications[i] for i in order],
-        )
+        rows = profile.publications
+        order = np.random.default_rng(seed).permutation(len(rows))
+        shuffled = profile_of([rows[i] for i in order], name=profile.name, tags=profile.tags)
         assert window_series(shuffled, WindowConfig()) == window_series(profile, WindowConfig())
 
     @given(profiles)
     def test_publication_after_end_year_ignored(self, profile):
         config = WindowConfig(end_year=2022)
         base = window_series(profile, config)
-        extended = ResearcherProfile(
+        extended = profile_of(
+            profile.publications + [Publication("late-entry", 2023, 999)],
             name=profile.name,
-            tags=list(profile.tags),
-            publications=profile.publications + [Publication("late-entry", 2023, 999)],
+            tags=profile.tags,
         )
         assert window_series(extended, config) == base
 
