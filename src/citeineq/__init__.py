@@ -26,10 +26,7 @@ from .landau import (
     ANALYTIC_SLOPE,
     EMPIRICAL_SLOPE,
     FitResult,
-    LandauCoefficients,
-    fit_free_intercept,
     fit_k_vs_g,
-    landau_coefficients,
     landau_k_approx,
     landau_k_exact,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "FitResult",
     "IndexPair",
     "IndexSeries",
-    "LandauCoefficients",
     "NoWindows",
     "OutOfRange",
     "ParseError",
@@ -90,13 +86,11 @@ __all__ = [
     "career_summary",
     "cites_per_paper",
     "classify_crossing",
-    "fit_free_intercept",
     "fit_k_vs_g",
     "hirsch",
     "hirsch_sqrt_ratio",
     "index_pair",
     "index_pairs",
-    "landau_coefficients",
     "landau_k_approx",
     "landau_k_exact",
     "load_manifest",

@@ -10,13 +10,12 @@ Two on-disk profile formats are accepted:
 Either format is read as columns: one pass collects the pub_id, year and
 citations of every row into three lists, which go straight to
 ``ResearcherProfile``; it checks the row rules once over each whole column.
-No per-row object is built for a valid file.  Only when the profile refuses
-the columns, or a CSV cell is not an integer, are the rows gone through one
-by one, in file order, with the one row rule set of ``Publication``, to
-report the first bad row by its CSV line or JSON ``publications`` index;
-within a row, a CSV cell that is not an integer is reported before a rule
-the row breaks.  When no row is bad, the profile's own error (a duplicate
-pub_id) stands.
+No per-row object is built for a valid file.  A row the profile refuses
+comes back with its index, reported as its CSV line or JSON
+``publications`` index.  A fault in the file's structure (a CSV cell that
+is not an integer, a malformed CSV row, a JSON record without the three
+keys) is reported only when the rows above it keep the row rules; within a
+row, a CSV cell that is not an integer comes before a rule the row breaks.
 
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file and whose names give distinct
@@ -38,14 +37,13 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import accumulate
 from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
-from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, Publication, ResearcherProfile
+from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, ResearcherProfile, check_rows
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["pub_id", "year", "citations"]
@@ -75,19 +73,6 @@ def _profile_format(path: Path) -> str:
     if suffix not in PROFILE_SUFFIXES:
         raise ParseError(f"unrecognized profile format {suffix!r} (expected .csv or .json): {path}")
     return suffix
-
-
-def _parse_int(cell: str | int, what: str, line: int) -> int:
-    """A year or citations cell as an int.
-
-    A cell is text until ``_load_csv`` has parsed its whole column in place.
-    """
-    if type(cell) is int:
-        return cell
-    try:
-        return int(cell.strip())
-    except ValueError:
-        raise ParseError(f"{what} {cell!r} is not an integer", line=line) from None
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
@@ -184,24 +169,37 @@ def csv_rows(lines, header: list[str]):
         raise ParseError(str(exc), line=reader.line_num) from None
 
 
+def _profile(name: str, tags: list[str], columns, where, error: ParseError | None):
+    """``ResearcherProfile(name, tags, *columns)``, or the first fault in file order.
+
+    ``error``, a fault in the file's structure below the rows of ``columns``,
+    is raised only if none of them is bad.  A bad row is named by ``where(row)``.
+    """
+    try:
+        if error is None:
+            return ResearcherProfile(name, tags, *columns)
+        check_rows(*columns)
+    except ValidationError as exc:
+        if exc.row is None:
+            raise
+        raise ValidationError(f"{where(exc.row)}: {exc}", row=exc.row) from None
+    raise error
+
+
 def _load_csv(path: Path) -> ResearcherProfile:
     columns = line_steps, ids, years, citations = [], [], [], []
+    error = None
     try:
         _read_csv_columns(path, columns)
-    except ParseError:
-        list(_csv_publications(*columns))  # a bad row above a malformed one comes first
-        raise
+    except ParseError as exc:  # a malformed row, below the rows read
+        error = exc
     try:
         # both columns or neither are parsed in place, freeing the text cells
         # before the profile is built
         years[:], citations[:] = list(map(int, years)), list(map(int, citations))
-        return ResearcherProfile(path.stem, [], ids, years, citations)
-    except (ValueError, ValidationError) as exc:  # a cell that is not an integer, or a refused column
-        pubs = list(_csv_publications(*columns))  # the first bad row raises, naming its line
-        if isinstance(exc, ValidationError):
-            raise
-    # only ``str.strip`` makes every cell an integer
-    return ResearcherProfile(path.stem, [], *zip(*pubs))
+    except ValueError:  # a cell that is not an integer, or that only ``str.strip`` makes one
+        error = _parse_cells(columns) or error
+    return _profile(path.stem, [], columns[1:], lambda row: f"line {sum(line_steps[: row + 1])}", error)
 
 
 def _read_csv_columns(path: Path, columns) -> None:
@@ -225,15 +223,24 @@ def _read_csv_columns(path: Path, columns) -> None:
             raise _not_utf8(path, exc) from None
 
 
-def _csv_publications(line_steps, ids, year_cells, citation_cells):
-    """The rows of CSV columns, one by one; the first bad row raises, naming its line."""
-    for line, pub_id, year, citations in zip(accumulate(line_steps), ids, year_cells, citation_cells):
-        year = _parse_int(year, "year", line)
-        citations = _parse_int(citations, "citations", line)
-        try:
-            yield Publication(pub_id=pub_id, year=year, citations=citations)
-        except ValidationError as exc:
-            raise ValidationError(f"line {line}: {exc}") from None
+def _parse_cells(columns) -> ParseError | None:
+    """Parse the year and citations cells in place, one at a time, in file order.
+
+    At the first cell that is not an integer, the rows from its row on are
+    dropped from the four ``columns`` and its ``ParseError`` is returned.
+    """
+    line_steps, _, years, citations = columns
+    for row in range(len(years)):
+        for what, cells in (("year", years), ("citations", citations)):
+            try:
+                cells[row] = int(cells[row].strip())
+            except ValueError:
+                line = sum(line_steps[: row + 1])
+                error = ParseError(f"{what} {cells[row]!r} is not an integer", line=line)
+                for column in columns:
+                    del column[row:]
+                return error
+    return None
 
 
 def _load_json(path: Path) -> ResearcherProfile:
@@ -252,44 +259,31 @@ def _load_json(path: Path) -> ResearcherProfile:
     raw_pubs = doc.get("publications")
     if not isinstance(raw_pubs, list):
         raise ParseError("profile 'publications' must be an array")
+    keys = ("id", "year", "citations")
+    error = None
     try:
-        columns = [list(map(itemgetter(key), raw_pubs)) for key in ("id", "year", "citations")]
-        return ResearcherProfile(name, list(tags), *columns)
-    except (TypeError, KeyError, ValidationError):  # a record without the keys, or a refused column
-        list(_json_publications(raw_pubs))  # the first bad record raises, naming its index
-        raise
-
-
-def _json_publications(raw_pubs):
-    """The rows of JSON records, one by one; the first bad record raises, naming its index."""
-    for i, rec in enumerate(raw_pubs):
-        if not isinstance(rec, dict) or not {"id", "year", "citations"} <= rec.keys():
-            raise ParseError(f"publications[{i}] must have id, year and citations")
-        try:
-            yield Publication(pub_id=rec["id"], year=rec["year"], citations=rec["citations"])
-        except ValidationError as exc:
-            raise ValidationError(f"publications[{i}]: {exc}") from None
+        columns = [list(map(itemgetter(key), raw_pubs)) for key in keys]
+    except (TypeError, KeyError):  # a record that is not an object, or lacks a key
+        bad = [isinstance(rec, dict) and rec.keys() >= set(keys) for rec in raw_pubs].index(False)
+        columns = [[rec[key] for rec in raw_pubs[:bad]] for key in keys]
+        error = ParseError(f"publications[{bad}] must have id, year and citations")
+    return _profile(name, list(tags), columns, "publications[{}]".format, error)
 
 
 def write_profile(profile: ResearcherProfile, path) -> Path:
     """Write a profile in canonical form, in the format its suffix names;
     reloading yields an equal profile."""
     path = Path(path)
+    rows = list(zip(profile.pub_ids, profile.years.tolist(), profile.citations.tolist()))
     if _profile_format(path) == ".csv":
-        def rows():
-            yield CSV_HEADER
-            for pub in profile.publications:
-                yield [pub.pub_id, pub.year, pub.citations]
-
-        text = csv_text(rows)
+        text = csv_text(lambda: [CSV_HEADER, *rows])
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "name": profile.name,
             "tags": list(profile.tags),
             "publications": [
-                {"id": p.pub_id, "year": p.year, "citations": p.citations}
-                for p in profile.publications
+                {"id": pub_id, "year": year, "citations": citations} for pub_id, year, citations in rows
             ],
         }
         text = json.dumps(doc, indent=2) + "\n"

@@ -23,19 +23,6 @@ EMPIRICAL_SLOPE = 0.39
 
 
 @dataclass(frozen=True)
-class LandauCoefficients:
-    """Coefficients of L(p) = a*p + b*p^2 for a given Gini index.
-
-    ``within_expansion`` is False when g > 1/3, where a <= 0 breaks the
-    model's convexity assumption (the curve is still evaluable).
-    """
-
-    a: float
-    b: float
-    within_expansion: bool
-
-
-@dataclass(frozen=True)
 class FitResult:
     """Least-squares fit of k = 1/2 + c*g with the intercept pinned at 1/2.
 
@@ -55,12 +42,6 @@ def _check_g(g: float) -> float:
     if not 0.0 <= g <= 1.0:
         raise OutOfRange(f"gini index must lie in [0, 1], got {g}")
     return g
-
-
-def landau_coefficients(g: float) -> LandauCoefficients:
-    """Lorenz-polynomial coefficients a = 1 - 3g, b = 3g for a Gini index."""
-    g = _check_g(g)
-    return LandauCoefficients(a=1.0 - 3.0 * g, b=3.0 * g, within_expansion=g <= 1.0 / 3.0)
 
 
 def landau_k_exact(g: float) -> float:
@@ -110,19 +91,3 @@ def fit_k_vs_g(points) -> FitResult:
         g_star=g_star,
         n_points=int(pts.shape[0]),
     )
-
-
-def fit_free_intercept(points) -> tuple[float, float]:
-    """Ordinary least-squares (intercept, slope) diagnostic fit.
-
-    Unlike :func:`fit_k_vs_g` the intercept is free; useful only to judge
-    how far a point cloud sits from the pinned-intercept line.
-    """
-    pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise DegenerateFit("need at least 2 (g, k) points")
-    g, k = pts[:, 0], pts[:, 1]
-    if np.ptp(g) == 0.0:
-        raise DegenerateFit("free-intercept fit needs two distinct g values")
-    slope, intercept = np.polyfit(g, k, 1)
-    return float(intercept), float(slope)

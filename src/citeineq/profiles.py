@@ -10,11 +10,13 @@ built from three columns in any order, as a loader reads them from a file.
 The row rules are checked once over each whole column: the cell types, that
 no id is empty, and each column's minimum and maximum.  The rules and their
 messages are written once, in ``Publication``; only columns that break one
-are gone through row by row, with ``Publication(...)``, so that the first
-bad row raises.  The profile then checks what spans rows (at least one
-paper, unique pub_ids) and sorts the columns by one index permutation, so
-that no result depends on input order.  ``profile.publications`` builds the
-rows from the columns on each call.
+are gone through row by row, by ``check_rows``, so that the first bad row
+raises a ``ValidationError`` whose ``row`` is its input index.  A loader
+turns that index into a CSV line or a JSON ``publications`` index.  The
+profile then checks what spans rows (at least one paper, unique pub_ids)
+and sorts the columns by one index permutation, so that no result depends
+on input order.  ``profile.publications`` builds the rows from the columns
+on each call.
 """
 
 from __future__ import annotations
@@ -73,6 +75,20 @@ class Publication(_Row):
         return super().__new__(cls, pub_id, year, citations)
 
 
+def check_rows(ids, years, citations) -> None:
+    """Build each row's ``Publication`` in input order.
+
+    The first row that breaks a rule raises its ``ValidationError``, with
+    the row's index as ``row``.
+    """
+    for row, cells in enumerate(zip(ids, years, citations)):
+        try:
+            Publication(*cells)
+        except ValidationError as exc:
+            exc.row = row
+            raise
+
+
 def _cells(column):
     """The cells of a column: a numpy column's are its ``tolist()``."""
     return column.tolist() if isinstance(column, np.ndarray) else column
@@ -122,7 +138,7 @@ class ResearcherProfile:
         citations = _int64_column(self.citations, 0, MAX_CITATIONS)
         if years is None or citations is None or not (set(map(type, ids)) <= {str} and all(ids)):
             # the check fails exactly when some row breaks a rule; the first one raises
-            list(map(Publication, ids, _cells(self.years), _cells(self.citations)))
+            check_rows(ids, _cells(self.years), _cells(self.citations))
         if not ids:
             raise EmptyProfile(f"profile {self.name!r} has no publications")
         if len(set(ids)) < len(ids):

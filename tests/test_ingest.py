@@ -124,6 +124,12 @@ class TestCsvLoading:
         with pytest.raises(ValidationError, match=r"^line 3: .*year 2101"):
             load_profile(write(tmp_path, "late.csv", text.format(2101)))
 
+    def test_cells_padded_with_a_separator_load(self, tmp_path):
+        # ``int`` refuses the \x1c pad that ``str.strip`` removes
+        text = "pub_id,year,citations\np1,\x1c2001\x1c,\x1c10\x1c\np2,2003,\x1c0\n"
+        profile = load_profile(write(tmp_path, "pad.csv", text))
+        assert profile.publications == [("p1", 2001, 10), ("p2", 2003, 0)]
+
     def test_utf8_bom_accepted(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(BOM + GOOD_CSV.encode())
@@ -270,10 +276,17 @@ FAULTS = [
     (None, ["id", "year", "citations"]),  # a missing key, or a CSV row short of a cell
 ]
 
+#: JSON values that are not objects, which may stand in for a whole record.
+NOT_OBJECTS = [5, "x", None, [1, 2]]
+
 
 @st.composite
-def faulty_records(draw):
-    """Up to eight publication records with zero to three injected faults."""
+def faulty_records(draw, not_objects=False):
+    """Up to eight publication records with zero to three injected faults.
+
+    With ``not_objects``, one record may then be replaced by one of
+    ``NOT_OBJECTS``, which a CSV row cannot hold.
+    """
     records = [
         {
             "id": f"p{i}" + draw(st.sampled_from(["", "\0", "\nq", ","])),
@@ -291,6 +304,8 @@ def faulty_records(draw):
             rec["id"] = draw(st.sampled_from(records)).get("id", "p0")
         else:
             rec[field] = draw(st.sampled_from(values))
+    if not_objects and records and draw(st.booleans()):
+        records[draw(st.integers(0, len(records) - 1))] = draw(st.sampled_from(NOT_OBJECTS))
     return records
 
 
@@ -315,7 +330,7 @@ class TestRowErrorOrder:
         assert outcome(columnar_load, path) == outcome(row_by_row_load, path)
 
     @settings(max_examples=300, deadline=None)
-    @given(faulty_records())
+    @given(faulty_records(not_objects=True))
     def test_json_matches_row_by_row(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("json") / "p.json"
         path.write_text(json_text(records), encoding="utf-8")
@@ -341,6 +356,18 @@ class TestRowErrorOrder:
         with pytest.raises(ParseError) as info:
             load_profile(path)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "records, error, message",
+        [
+            ([{"id": "a", "year": 1500, "citations": 1}, 5], ValidationError, r"^publications\[0\]: .*year 1500"),
+            ([5], ParseError, r"^publications\[0\] must have id, year and citations$"),
+        ],
+        ids=["bad-row-first", "not-an-object"],
+    )
+    def test_json_record_that_is_not_an_object(self, tmp_path, records, error, message):
+        with pytest.raises(error, match=message):
+            load_profile(write(tmp_path, "p.json", json_text(records)))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_duplicate_reported_by_its_first_repeat(self, tmp_path, fmt):
@@ -595,6 +622,26 @@ class TestProfileColumns:
     def test_columns_of_unequal_length_refused(self):
         with pytest.raises(ValidationError, match="2 pub_ids, 1 years and 2 citations"):
             ResearcherProfile("x", [], ["a", "b"], [2000], [1, 2])
+
+    @pytest.mark.parametrize("fmt", [None, "csv", "json"])
+    def test_row_error_carries_the_input_index(self, tmp_path, fmt):
+        # the fourth row in input order is bad, and first in (year, pub_id) order;
+        # the fifth is bad too
+        rows = [("a", 2005, 1), ("b", 2004, 2), ("c", 2003, 3), ("d", 1500, 4), ("e", 2001, -1)]
+        with pytest.raises(ValidationError) as info:
+            profile_of(rows) if fmt is None else load_profile(profile_file(tmp_path, fmt, rows))
+        where = {None: "", "csv": "line 5: ", "json": "publications[3]: "}[fmt]
+        assert str(info.value).startswith(f"{where}publication 'd': year 1500 ")
+        assert info.value.row == 3
+
+    @pytest.mark.parametrize(
+        "columns", [(["a", "b", "a"], [2001, 2000, 2002], [1, 2, 3]), (["a", "b"], [2000], [1, 2])],
+        ids=["duplicate-id", "unequal-lengths"],
+    )
+    def test_error_spanning_rows_has_no_row(self, columns):
+        with pytest.raises(ValidationError) as info:
+            ResearcherProfile("x", [], *columns)
+        assert info.value.row is None
 
     def test_columns_are_read_only_copies(self):
         years, citations = np.array([2001, 2000]), np.array([4, 5])

@@ -10,9 +10,7 @@ from citeineq import (
     EMPIRICAL_SLOPE,
     DegenerateFit,
     OutOfRange,
-    fit_free_intercept,
     fit_k_vs_g,
-    landau_coefficients,
     landau_k_approx,
     landau_k_exact,
 )
@@ -29,22 +27,6 @@ def quadratic_root_oracle(g: float) -> float:
     inside = real[(real >= 0.5 - 1e-9) & (real <= 1.0 + 1e-9)]
     assert inside.size == 1
     return float(inside[0])
-
-
-class TestCoefficients:
-    def test_relations(self):
-        c = landau_coefficients(0.2)
-        assert c.a == pytest.approx(1 - 3 * 0.2)
-        assert c.b == pytest.approx(3 * 0.2)
-        assert c.a + c.b == pytest.approx(1.0)
-        assert c.within_expansion
-
-    def test_validity_flag_past_one_third(self):
-        assert not landau_coefficients(0.5).within_expansion
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            landau_coefficients(1.5)
 
 
 class TestExactRoot:
@@ -158,15 +140,3 @@ class TestFit:
         k = np.array([p[1] for p in pts])
         closed_form = float(np.sum(g * (k - 0.5)) / np.sum(g * g))
         assert fit.c == pytest.approx(closed_form, abs=1e-12)
-
-
-class TestFreeInterceptDiagnostic:
-    def test_recovers_affine_line(self):
-        pts = [(g, 0.48 + 0.41 * g) for g in (0.1, 0.4, 0.7)]
-        intercept, slope = fit_free_intercept(pts)
-        assert intercept == pytest.approx(0.48, abs=1e-9)
-        assert slope == pytest.approx(0.41, abs=1e-9)
-
-    def test_needs_distinct_g(self):
-        with pytest.raises(DegenerateFit):
-            fit_free_intercept([(0.3, 0.6), (0.3, 0.7)])
