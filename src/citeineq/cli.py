@@ -4,12 +4,15 @@ Every failure path exits nonzero after printing a single diagnostic line
 of the form ``error: <ErrorType>: <message>`` to stderr.  Exit codes:
 0 success, 1 input error, 2 computation error, 3 partial batch failure.
 No command replaces an existing file: each checks every path it will write
-before writing the first.
+before writing the first.  ``main`` may be called any number of times in
+one process: the parser is built on the first call and reused, and no call
+leaves state behind for the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -187,6 +190,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every call.
+
+    ``main`` parses each argv with this one parser, so callers must not
+    change it.
+    """
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citeineq",
         description="Citation inequality indices over sliding career windows",

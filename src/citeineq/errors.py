@@ -33,8 +33,9 @@ class ValidationError(CiteIneqError):
     """Well-formed input that violates a value constraint.
 
     ``row`` is the input index of the first row that breaks a
-    ``Publication`` rule, before any sorting; it is None for an error that
-    spans rows, such as a duplicate pub_id or columns of unequal length.
+    ``Publication`` rule, before any sorting, or of the first series entry
+    whose central year does not ascend; it is None for an error that spans
+    rows, such as a duplicate pub_id or columns of unequal length.
     """
 
     def __init__(self, message: str, row: int | None = None):

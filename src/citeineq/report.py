@@ -36,8 +36,9 @@ def series_to_csv(series: IndexSeries) -> str:
 
 
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
-    """Parse series CSV text; ``WindowEntry`` checks each row's values."""
-    entries = []
+    """Parse series CSV text; ``WindowEntry`` checks each row's values, and
+    ``IndexSeries`` then checks that the central years ascend."""
+    entries, lines = [], []
     for line, row in csv_rows(io.StringIO(text), SERIES_COLUMNS):
         year, g, k, n_pubs, n_cites, reason = (cell.strip() for cell in row)
         try:
@@ -47,7 +48,11 @@ def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
             ))
         except (ValueError, ValidationError) as exc:
             raise ParseError(f"{source}: {exc}", line=line) from None
-    return IndexSeries(entries=entries)
+        lines.append(line)
+    try:
+        return IndexSeries(entries=entries)
+    except ValidationError as exc:
+        raise ParseError(f"{source}: {exc}", line=lines[exc.row]) from None
 
 
 def read_series_csv(path) -> IndexSeries:

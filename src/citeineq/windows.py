@@ -70,9 +70,20 @@ class WindowEntry:
 
 @dataclass
 class IndexSeries:
-    """Ordered per-window entries; central years ascend by the stride."""
+    """Ordered per-window entries; central years strictly ascend.
+
+    Entries whose years repeat or fall raise ``ValidationError`` on
+    construction, with the first out-of-order entry's index as ``row``.
+    """
 
     entries: list[WindowEntry] = field(default_factory=list)
+
+    def __post_init__(self):
+        years = [e.central_year for e in self.entries]
+        for row in range(1, len(years)):
+            if years[row] <= years[row - 1]:
+                raise ValidationError(
+                    f"central_year must ascend, but {years[row]} follows {years[row - 1]}", row=row)
 
     def valid_entries(self) -> list[WindowEntry]:
         return [e for e in self.entries if e.reason is None]

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -76,6 +77,48 @@ def test_each_subcommand_has_only_the_flags_it_reads():
         assert flags - {"-h", "--help"} == SUBCOMMAND_FLAGS[name], name
     synth_format = next(a for a in sub.choices["synth"]._actions if "--format" in a.option_strings)
     assert synth_format.choices == ["csv", "json"]
+
+
+class TestInProcessReuse:
+    """``main`` parses every call with one parser; no call may leave state for the next."""
+
+    SERIES = ROOT / "tests" / "golden" / "profiles" / "powerlaw-02_series.csv"
+
+    def test_build_parser_returns_one_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, equal_profile_path, capsys):
+        commands = [
+            ["analyze", str(equal_profile_path), "--markdown"],
+            ["analyze", str(equal_profile_path)],
+            ["plotdata", str(self.SERIES), "--soc-mark", "0.5"],
+            ["plotdata", str(self.SERIES)],
+            ["fit", str(self.SERIES), "--no-such-flag"],
+            ["fit", str(self.SERIES)],
+        ]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        for i, argv in enumerate(commands):
+            here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
+            try:
+                code = main([*argv, "--out", str(here)])
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "citeineq.cli", *argv, "--out", str(fresh)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert (code, captured.err) == (proc.returncode, proc.stderr), argv
+            assert captured.out.replace(str(here), str(fresh)) == proc.stdout, argv
+            files = sorted(p.relative_to(here) for p in here.rglob("*")) if here.exists() else []
+            assert files == (sorted(p.relative_to(fresh) for p in fresh.rglob("*")) if fresh.exists() else [])
+            for name in files:
+                assert (here / name).read_bytes() == (fresh / name).read_bytes(), (argv, name)
+
+        def suffixes(i):
+            return sorted(p.suffix for p in (tmp_path / "here" / str(i)).iterdir())
+
+        assert (suffixes(0), suffixes(1)) == ([".csv", ".json", ".md"], [".csv", ".json"])
+        assert not (tmp_path / "here" / "4").exists()
 
 
 class TestAnalyze:
@@ -284,9 +327,9 @@ series_entries = st.one_of(
 )
 
 
-@given(st.lists(series_entries, max_size=12))
+@given(st.lists(series_entries, max_size=12, unique_by=attrgetter("central_year")))
 def test_series_csv_round_trip_is_exact(entries):
-    series = IndexSeries(entries=entries)
+    series = IndexSeries(entries=sorted(entries, key=attrgetter("central_year")))
     assert report.series_from_csv(report.series_to_csv(series)) == series
 
 
