@@ -1,7 +1,7 @@
 """Command-line surface: analyze, fit, batch, plotdata, synth.
 
-Every failure path exits nonzero after printing a single diagnostic line
-of the form ``error: <ErrorType>: <message>`` to stderr.  Exit codes:
+Every failure path exits nonzero after printing one stderr line, ``error:
+<ErrorType>: <message>``, its line breaks escaped as ``repr`` does.  Exit codes:
 0 success, 1 input error, 2 computation error, 3 partial batch failure.
 No command replaces an existing file: each checks every path it will write
 before writing the first.  ``main`` may be called any number of times in
@@ -39,13 +39,12 @@ from .report import (
     inset_csv,
     read_series_csv,
     run_batch,
-    series_to_csv,
-    summary_to_dict,
     timepanel_csv,
     write_json,
+    write_profile_files,
 )
-from .soc import SOC_MARK, CareerSummary, SocConfig
-from .windows import IndexSeries, WindowConfig
+from .soc import SOC_MARK, SocConfig
+from .windows import WindowConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -98,11 +97,6 @@ def _profile_paths(name: str, directory: Path) -> list[Path]:
     return [directory / f"{stem}_series.csv", directory / f"{stem}_summary.json"]
 
 
-def _write_profile_files(series: IndexSeries, summary: CareerSummary, paths: list[Path]) -> None:
-    write_text(series_to_csv(series), paths[0])
-    write_json(summary_to_dict(summary), paths[1])
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     window, soc = _run_config(args)
     _check_out_dir(args.out)
@@ -112,7 +106,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         paths.append(args.out / f"{file_stem(profile.name)}_summary.md")
     refuse_existing(paths)
     series, summary = analyze_profile(profile, window, soc)
-    _write_profile_files(series, summary, paths)
+    write_profile_files(series, summary, paths)
     if args.markdown:
         write_text(cohort_to_markdown(BatchResult([summary], [])), paths[2])
     for path in paths:
@@ -153,17 +147,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.markdown:
         cohort_paths.append(args.out / "cohort.md")
     refuse_existing(cohort_paths + [path for paths in profile_paths.values() for path in paths])
-    batch = run_batch(entries, window, soc)
+    batch = run_batch(entries, profile_paths, window, soc)
     for name, exc in batch.failures:
-        print(f"error: {type(exc).__name__}: profile {name!r}: {exc}", file=sys.stderr)
+        _print_error(f"{type(exc).__name__}: profile {name!r}: {exc}")
     if not batch.summaries:
-        print("error: BatchFailed: every profile in the batch failed", file=sys.stderr)
+        _print_error("BatchFailed: every profile in the batch failed")
         # EXIT_COMPUTE if any failure is a computation error, else EXIT_INPUT
         return max(_exit_code(exc) for _, exc in batch.failures)
-
-    for series, summary in zip(batch.series, batch.summaries):
-        _write_profile_files(series, summary, profile_paths[summary.name])
-
     print(write_text(cohort_to_csv(batch), cohort_paths[0]))
     print(write_json(cohort_to_json(batch), cohort_paths[1]))
     if args.markdown:
@@ -251,12 +241,19 @@ def _exit_code(exc: Exception) -> int:
     return EXIT_COMPUTE if computed else EXIT_INPUT
 
 
+_SPLITLINES_ESCAPES = str.maketrans({ch: repr(ch)[1:-1] for ch in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _print_error(message: str) -> None:
+    print(f"error: {message}".translate(_SPLITLINES_ESCAPES), file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CiteIneqError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _print_error(f"{type(exc).__name__}: {exc}")
         return _exit_code(exc)
 
 

@@ -120,8 +120,9 @@ def write_text(text: str, path) -> Path:
     refuse_existing([path])
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(temp, "x", encoding="utf-8", newline="")  # a temp this call did not make is left alone
     try:
-        with open(temp, "x", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
         os.replace(temp, path)
     except BaseException:
@@ -276,7 +277,7 @@ def write_profile(profile: ResearcherProfile, path) -> Path:
     path = Path(path)
     rows = list(zip(profile.pub_ids, profile.years.tolist(), profile.citations.tolist()))
     if _profile_format(path) == ".csv":
-        text = csv_text(lambda: [CSV_HEADER, *rows])
+        text = csv_text([CSV_HEADER, *rows])
     else:
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -290,20 +291,18 @@ def write_profile(profile: ResearcherProfile, path) -> Path:
     return write_text(text, path)
 
 
-def csv_text(rows) -> str:
-    """CSV text, with LF line ends, of the rows that ``rows()`` yields.
+def csv_text(rows: list) -> str:
+    """CSV text, with LF line ends, of the list ``rows``.
 
     ``csv.writer`` quotes a cell holding a comma, a quote or an LF but leaves
     a lone CR bare, which ``csv.reader`` takes for a line end; text holding a
-    CR is therefore written again with every text cell quoted.
+    CR is therefore written again from ``rows`` with every text cell quoted.
     """
-    text = _csv_text(rows(), csv.QUOTE_MINIMAL)
-    return text if "\r" not in text else _csv_text(rows(), csv.QUOTE_NONNUMERIC)
-
-
-def _csv_text(rows, quoting: int) -> str:
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+        if "\r" not in out.getvalue():
+            break
     return out.getvalue()
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,7 @@ INSET_LINE_SAMPLES = 50
 def series_to_csv(series: IndexSeries) -> str:
     rows = [SERIES_COLUMNS]
     rows += [[e.central_year, e.g, e.k, e.n_pubs, e.n_cites, e.reason] for e in series.entries]
-    return csv_text(lambda: rows)
+    return csv_text(rows)
 
 
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
@@ -89,6 +89,11 @@ def write_json(payload: dict, path) -> Path:
     return write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
 
 
+def write_profile_files(series: IndexSeries, summary: CareerSummary, paths: list[Path]) -> None:
+    write_text(series_to_csv(series), paths[0])
+    write_json(summary_to_dict(summary), paths[1])
+
+
 # --- analyze / fit / plotdata ---------------------------------------------
 
 def analyze_profile(
@@ -103,7 +108,7 @@ def timepanel_csv(series: IndexSeries, soc_mark: float) -> str:
     """Plot-ready year panel; skipped rows keep the year axis contiguous."""
     rows = [["year", "g", "k", "soc_mark"]]
     rows += [[e.central_year, e.g, e.k, float(soc_mark)] for e in series.entries]
-    return csv_text(lambda: rows)
+    return csv_text(rows)
 
 
 def inset_csv(series: IndexSeries, fit: FitResult) -> str:
@@ -111,7 +116,7 @@ def inset_csv(series: IndexSeries, fit: FitResult) -> str:
     rows = [["kind", "g", "k"]]
     rows += [["point", pair.g, pair.k] for pair in series.pairs()]
     rows += [["line", g, 0.5 + fit.c * g] for g in np.linspace(0.0, 1.0, INSET_LINE_SAMPLES).tolist()]
-    return csv_text(lambda: rows)
+    return csv_text(rows)
 
 
 # --- cohort tables ---------------------------------------------------------
@@ -141,8 +146,6 @@ COHORT_COLUMNS = [
 class BatchResult:
     summaries: list[CareerSummary]
     failures: list[tuple[str, Exception]]
-    #: One series per summary, in the same order.
-    series: list[IndexSeries] = field(default_factory=list)
 
     @property
     def aggregates(self) -> dict:
@@ -164,16 +167,16 @@ class BatchResult:
 def _analyze_entry(
     entry: ManifestEntry, window: WindowConfig, soc: SocConfig
 ) -> tuple[IndexSeries, CareerSummary]:
-    """Load and analyze one entry; its profile is freed on return, before the
-    next entry loads, so a batch holds one profile at a time."""
+    """Load and analyze one entry; its profile is freed on return, before the next entry loads."""
     profile = load_profile(entry.path)
     profile.name = entry.name
     profile.tags = list(entry.tags)
     return analyze_profile(profile, window, soc)
 
 
-def run_batch(entries: list[ManifestEntry], window: WindowConfig, soc: SocConfig) -> BatchResult:
-    """Analyze every manifest entry, collecting failures without stopping."""
+def run_batch(entries: list[ManifestEntry], paths: dict, window: WindowConfig, soc: SocConfig) -> BatchResult:
+    """Analyze every entry, collecting failures without stopping; each profile's files are written
+    to ``paths[entry.name]`` before the next entry loads, and a write's ``OSError`` ends the batch."""
     batch = BatchResult(summaries=[], failures=[])
     for entry in entries:
         try:
@@ -181,7 +184,7 @@ def run_batch(entries: list[ManifestEntry], window: WindowConfig, soc: SocConfig
         except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
             batch.failures.append((entry.name, exc))
         else:
-            batch.series.append(series)
+            write_profile_files(series, summary, paths[entry.name])
             batch.summaries.append(summary)
     return batch
 
@@ -204,7 +207,7 @@ def cohort_to_csv(batch: BatchResult) -> str:
     for s in batch.summaries:
         row = _cohort_row(s)
         rows.append([_csv_cell(row[col]) for col in COHORT_COLUMNS])
-    return csv_text(lambda: rows)
+    return csv_text(rows)
 
 
 def cohort_to_json(batch: BatchResult) -> dict:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from operator import attrgetter
 from pathlib import Path
 
@@ -584,15 +585,57 @@ class TestBatch:
         assert code == 1
         assert err.startswith("error: ParseError:") and err.count("\n") == 1
 
+    def test_failed_profile_write_ends_the_run(self, tmp_path, capsys, monkeypatch):
+        # an OSError from a write is the run's error, not a failure of the profile
+        replace = os.replace
+
+        def fail_mild_summary(src, dst):
+            if Path(dst).name == "mild_summary.json":
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", fail_mild_summary)
+        manifest = build_cohort(tmp_path)
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
+        assert code == 1
+        assert err.splitlines()[-1] == "error: OSError: disk full"
+        assert sorted(p.name for p in out_dir.rglob("*")) == [
+            "flat_series.csv", "flat_summary.json", "mild_series.csv", "profiles"
+        ]
+
     def test_programming_error_is_not_a_profile_failure(self, tmp_path, monkeypatch):
         entries = load_manifest(build_cohort(tmp_path, n_profiles=1))
+        out_dir = tmp_path / "out"
+        paths = {e.name: [out_dir / f"{e.name}_series.csv", out_dir / f"{e.name}_summary.json"] for e in entries}
 
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
         monkeypatch.setattr(report, "window_series", broken)
         with pytest.raises(RuntimeError, match="bug"):
-            report.run_batch(entries, WindowConfig(), SocConfig())
+            report.run_batch(entries, paths, WindowConfig(), SocConfig())
+        assert not out_dir.exists()
+
+    def test_no_series_outlives_its_profile(self, tmp_path, capsys, monkeypatch):
+        # each profile's files are written while its series is the only one alive
+        built, live_at_write = [], []
+        window_series, write_profile_files = report.window_series, report.write_profile_files
+
+        def tracked_series(*args):
+            series = window_series(*args)
+            built.append(weakref.ref(series))
+            return series
+
+        def counted_write(*args):
+            live_at_write.append(sum(ref() is not None for ref in built))
+            write_profile_files(*args)
+
+        monkeypatch.setattr(report, "window_series", tracked_series)
+        monkeypatch.setattr(report, "write_profile_files", counted_write)
+        code, out, err = run(capsys, "batch", build_cohort(tmp_path), "--out", tmp_path / "out")
+        assert code == 0 and err == ""
+        assert len(built) == 3 and live_at_write == [1, 1, 1]
 
     def test_cohort_csv_quotes_cells(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path, n_profiles=2)
@@ -644,6 +687,57 @@ class TestBatch:
         text = (out_dir / "cohort.md").read_text()
         assert "| Researcher |" in text
         assert "| flat |" in text
+
+
+class TestLineBreakInMessage:
+    """A path holding a line break still gives a one-line error: each
+    ``str.splitlines`` break is written as ``repr`` writes it."""
+
+    BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=[repr(b) for b in BREAKS])
+    def test_analyze(self, tmp_path, capsys, brk):
+        code, out, err = run(capsys, "analyze", tmp_path / f"a{brk}b.csv", "--out", tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 1 and len(err.splitlines()) == 1
+        expected = "a" + repr(brk)[1:-1] + "b.csv"
+        assert err == f"error: ParseError: profile file not found: {tmp_path}/{expected}\n"
+
+    def test_batch(self, tmp_path, capsys):
+        manifest = build_cohort(tmp_path, n_profiles=2)
+        entries = json.loads(manifest.read_text())
+        entries.append({"name": "gh\nost", "path": "cohort/gh\nost.csv"})
+        manifest.write_text(json.dumps(entries))
+        code, out, err = run(capsys, "batch", manifest, "--out", tmp_path / "out")
+        assert code == 3
+        assert err.count("\n") == 1
+        assert err == (
+            f"error: ParseError: profile 'gh\\nost': profile file not found: {tmp_path}/cohort/gh\\nost.csv\n"
+        )
+
+    def test_batch_all_failed(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"name": "a", "path": "a\u2028b.csv"}, {"name": "b", "path": "b\rc.csv"}]))
+        code, out, err = run(capsys, "batch", manifest, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 3
+        assert err.splitlines()[:2] == [
+            f"error: ParseError: profile 'a': profile file not found: {tmp_path}/a\\u2028b.csv",
+            f"error: ParseError: profile 'b': profile file not found: {tmp_path}/b\\rc.csv",
+        ]
+
+    def test_fit(self, tmp_path, capsys):
+        series_path = tmp_path / "s\nt.csv"
+        series_path.write_text("central_year,g,k,n_pubs,n_cites,skipped\n2000,1.5,0.7,5,50,\n")
+        code, out, err = run(capsys, "fit", series_path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: ParseError: line 2: {tmp_path}/s\\nt.csv: ")
+
+    def test_message_without_a_break_is_unchanged(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", tmp_path / "a\\nb.csv", "--out", tmp_path / "out")
+        assert code == 1
+        assert err == f"error: ParseError: profile file not found: {tmp_path}/a\\nb.csv\n"
 
 
 class TestSynthCommand:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -492,6 +493,22 @@ class TestWriteText:
         with pytest.raises(OSError, match="disk full"):
             ingest.write_text("a\n", tmp_path / "f.txt")
         assert list(tmp_path.iterdir()) == []
+
+    def test_existing_temp_file_is_left_alone(self, tmp_path):
+        temp = tmp_path / f".f.txt.{os.getpid()}.tmp"
+        temp.write_text("not made by this write\n")
+        with pytest.raises(FileExistsError):
+            ingest.write_text("a\n", tmp_path / "f.txt")
+        assert temp.read_text() == "not made by this write\n"
+        assert not (tmp_path / "f.txt").exists()
+
+
+class TestCsvText:
+    def test_rows_written_once_without_a_cr(self):
+        assert ingest.csv_text([["a", 1], ["b,c", 2.5], ["d", None]]) == 'a,1\n"b,c",2.5\nd,\n'
+
+    def test_text_with_a_cr_quotes_every_text_cell(self):
+        assert ingest.csv_text([["a", 1], ["b\rc", 2]]) == '"a",1\n"b\rc",2\n'
 
 
 class TestManifest:
