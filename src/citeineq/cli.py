@@ -3,8 +3,9 @@
 Every failure path exits nonzero after printing one stderr line, ``error:
 <ErrorType>: <message>``, its line breaks escaped as ``repr`` does.  Exit codes:
 0 success, 1 input error, 2 computation error, 3 partial batch failure.
-No command replaces an existing file: each checks every path it will write
-before writing the first.  ``main`` may be called any number of times in
+``batch`` prints a profile's failure line when it fails, before the next
+loads.  No command replaces an existing file: each checks every path it will
+write before writing the first.  ``main`` may be called any number of times in
 one process: the parser is built on the first call and reused, and no call
 leaves state behind for the next.
 """
@@ -20,6 +21,7 @@ from pathlib import Path
 from .errors import INPUT_ERRORS, CiteIneqError, ValidationError
 from .ingest import (
     PROFILE_SUFFIXES,
+    ManifestEntry,
     SynthSpec,
     file_stem,
     load_manifest,
@@ -38,13 +40,12 @@ from .report import (
     cohort_to_markdown,
     inset_csv,
     read_series_csv,
-    run_batch,
     timepanel_csv,
     write_json,
     write_profile_files,
 )
-from .soc import SOC_MARK, SocConfig
-from .windows import WindowConfig
+from .soc import SOC_MARK, CareerSummary, SocConfig
+from .windows import IndexSeries, WindowConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -136,6 +137,15 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _analyze_entry(entry: ManifestEntry, window: WindowConfig,
+                   soc: SocConfig) -> tuple[IndexSeries, CareerSummary]:
+    """Load and analyze one entry; its profile is freed on return, before ``_cmd_batch`` loads the next."""
+    profile = load_profile(entry.path)
+    profile.name = entry.name
+    profile.tags = list(entry.tags)
+    return analyze_profile(profile, window, soc)
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     window, soc = _run_config(args)
     _check_out_dir(args.out / "profiles")
@@ -147,9 +157,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.markdown:
         cohort_paths.append(args.out / "cohort.md")
     refuse_existing(cohort_paths + [path for paths in profile_paths.values() for path in paths])
-    batch = run_batch(entries, profile_paths, window, soc)
-    for name, exc in batch.failures:
-        _print_error(f"{type(exc).__name__}: profile {name!r}: {exc}")
+    batch = BatchResult(summaries=[], failures=[])
+    for entry in entries:
+        try:
+            series, summary = _analyze_entry(entry, window, soc)
+        except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
+            _print_error(f"{type(exc).__name__}: profile {entry.name!r}: {exc}")
+            batch.failures.append((entry.name, exc))
+        else:  # a write's OSError is the run's error, not this profile's
+            write_profile_files(series, summary, profile_paths[entry.name])
+            batch.summaries.append(summary)
     if not batch.summaries:
         _print_error("BatchFailed: every profile in the batch failed")
         # EXIT_COMPUTE if any failure is a computation error, else EXIT_INPUT
@@ -162,6 +179,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    suffix = args.out.suffix.lower()
+    if args.fmt and suffix in PROFILE_SUFFIXES and suffix != f".{args.fmt}":
+        raise ValidationError(f"--format {args.fmt} disagrees with the suffix of --out {args.out}")
     spec = SynthSpec(
         model=args.model,
         n_papers=args.n_papers,
@@ -172,8 +192,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     profile = synth_profile(spec, name=args.name)
     out = args.out
-    if out.suffix.lower() not in PROFILE_SUFFIXES:
-        out = out / f"{file_stem(profile.name)}.{args.fmt}"
+    if suffix not in PROFILE_SUFFIXES:
+        out = out / f"{file_stem(profile.name)}.{args.fmt or 'csv'}"
     _check_out_dir(out.parent)
     print(write_profile(profile, out))
     return EXIT_OK
@@ -227,8 +247,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--value", type=int, default=spec.value, help="equal/uniform citation level")
     p.add_argument("--name", default=None)
-    p.add_argument("--format", choices=["csv", "json"], default="csv", dest="fmt",
-                   help="used when --out is a directory")
+    p.add_argument("--format", choices=["csv", "json"], dest="fmt",
+                   help="csv by default when --out is a directory; a file --out's suffix must agree")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_synth)
 

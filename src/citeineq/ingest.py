@@ -402,6 +402,9 @@ class SynthSpec:
 
 def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile:
     """Generate a synthetic profile; identical specs yield identical profiles."""
+    # load_profile refuses an empty name, and a surrogate (an undecodable argv byte) is not UTF-8
+    if name is not None and (not name or any("\ud800" <= ch <= "\udfff" for ch in name)):
+        raise BadSpec(f"name must be a nonempty string encodable as UTF-8, got {name!r}")
     rng = np.random.default_rng(spec.seed)
     first, last = spec.span_years
     years = rng.integers(first, last + 1, size=spec.n_papers)

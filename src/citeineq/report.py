@@ -1,4 +1,5 @@
-"""Reproducible report artifacts: series/summary/fit files and cohort tables.
+"""Reproducible report artifacts: series/summary/fit files, and the cohort
+tables of the ``BatchResult`` that ``cli._cmd_batch`` gathers.
 
 All machine-readable outputs (CSV, JSON) carry full float precision via the
 shortest round-trip representation and are byte-deterministic for identical
@@ -14,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CiteIneqError, ParseError, ValidationError
-from .ingest import ManifestEntry, csv_rows, csv_text, load_profile, read_text, write_text
+from .errors import ParseError, ValidationError
+from .ingest import csv_rows, csv_text, read_text, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -162,31 +163,6 @@ class BatchResult:
             sum(y for y, f in zip(yes, flagged) if f) / n_flagged if n_flagged else None
         )
         return agg
-
-
-def _analyze_entry(
-    entry: ManifestEntry, window: WindowConfig, soc: SocConfig
-) -> tuple[IndexSeries, CareerSummary]:
-    """Load and analyze one entry; its profile is freed on return, before the next entry loads."""
-    profile = load_profile(entry.path)
-    profile.name = entry.name
-    profile.tags = list(entry.tags)
-    return analyze_profile(profile, window, soc)
-
-
-def run_batch(entries: list[ManifestEntry], paths: dict, window: WindowConfig, soc: SocConfig) -> BatchResult:
-    """Analyze every entry, collecting failures without stopping; each profile's files are written
-    to ``paths[entry.name]`` before the next entry loads, and a write's ``OSError`` ends the batch."""
-    batch = BatchResult(summaries=[], failures=[])
-    for entry in entries:
-        try:
-            series, summary = _analyze_entry(entry, window, soc)
-        except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
-            batch.failures.append((entry.name, exc))
-        else:
-            write_profile_files(series, summary, paths[entry.name])
-            batch.summaries.append(summary)
-    return batch
 
 
 def _cohort_row(summary: CareerSummary) -> dict:

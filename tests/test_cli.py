@@ -17,11 +17,9 @@ from hypothesis import strategies as st
 
 from citeineq import (
     IndexSeries,
-    SocConfig,
     SynthSpec,
-    WindowConfig,
     WindowEntry,
-    load_manifest,
+    cli,
     load_profile,
     report,
     synth_profile,
@@ -586,7 +584,8 @@ class TestBatch:
         assert err.startswith("error: ParseError:") and err.count("\n") == 1
 
     def test_failed_profile_write_ends_the_run(self, tmp_path, capsys, monkeypatch):
-        # an OSError from a write is the run's error, not a failure of the profile
+        # an OSError from a write is the run's error, not a failure of the profile; the
+        # failure line of a profile before it was printed when that profile failed
         replace = os.replace
 
         def fail_mild_summary(src, dst):
@@ -596,25 +595,28 @@ class TestBatch:
 
         monkeypatch.setattr(os, "replace", fail_mild_summary)
         manifest = build_cohort(tmp_path)
+        entries = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps([{"name": "ghost", "path": "cohort/ghost.csv"}, *entries]))
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "batch", manifest, "--out", out_dir)
         assert code == 1
-        assert err.splitlines()[-1] == "error: OSError: disk full"
+        first, second = err.splitlines()
+        assert first.startswith("error: ParseError: profile 'ghost': profile file not found: ")
+        assert second == "error: OSError: disk full"
         assert sorted(p.name for p in out_dir.rglob("*")) == [
             "flat_series.csv", "flat_summary.json", "mild_series.csv", "profiles"
         ]
 
-    def test_programming_error_is_not_a_profile_failure(self, tmp_path, monkeypatch):
-        entries = load_manifest(build_cohort(tmp_path, n_profiles=1))
-        out_dir = tmp_path / "out"
-        paths = {e.name: [out_dir / f"{e.name}_series.csv", out_dir / f"{e.name}_summary.json"] for e in entries}
-
+    def test_programming_error_is_not_a_profile_failure(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("bug")
 
+        # the batch loop reaches window_series through report.analyze_profile
         monkeypatch.setattr(report, "window_series", broken)
+        out_dir = tmp_path / "out"
         with pytest.raises(RuntimeError, match="bug"):
-            report.run_batch(entries, paths, WindowConfig(), SocConfig())
+            main(["batch", str(build_cohort(tmp_path, n_profiles=1)), "--out", str(out_dir)])
+        assert capsys.readouterr().err == ""
         assert not out_dir.exists()
 
     def test_no_series_outlives_its_profile(self, tmp_path, capsys, monkeypatch):
@@ -632,7 +634,7 @@ class TestBatch:
             write_profile_files(*args)
 
         monkeypatch.setattr(report, "window_series", tracked_series)
-        monkeypatch.setattr(report, "write_profile_files", counted_write)
+        monkeypatch.setattr(cli, "write_profile_files", counted_write)
         code, out, err = run(capsys, "batch", build_cohort(tmp_path), "--out", tmp_path / "out")
         assert code == 0 and err == ""
         assert len(built) == 3 and live_at_write == [1, 1, 1]
@@ -803,6 +805,28 @@ class TestSynthCommand:
         assert (synth.returncode, synth.stderr) == (0, "")
         counts = load_profile(out_file).citations
         assert counts.max() == MAX_CITATIONS and counts.min() >= 1
+
+    @pytest.mark.parametrize("name", ["", "J\udcff"], ids=["empty", "undecodable-argv-byte"])
+    def test_name_load_profile_would_refuse_is_bad_spec(self, tmp_path, capsys, name):
+        out_file = tmp_path / "p.json"
+        code, out, err = run(capsys, "synth", "--name", name, "--out", out_file)
+        assert code == 1
+        assert err.startswith("error: BadSpec: name ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("fmt, out_name", [("json", "p.csv"), ("csv", "p.JSON")])
+    def test_format_disagreeing_with_out_suffix_is_refused(self, tmp_path, capsys, fmt, out_name):
+        code, out, err = run(capsys, "synth", "--format", fmt, "--out", tmp_path / out_name)
+        assert code == 1
+        assert err.startswith("error: ValidationError: --format ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", [None, "csv", "json"])
+    def test_directory_out_takes_format(self, tmp_path, capsys, fmt):
+        argv = ["synth", "--name", "J", "--out", tmp_path] + (["--format", fmt] if fmt else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"j.{fmt or 'csv'}"]
 
     def test_bad_spec_is_input_error(self, tmp_path, capsys):
         code, out, err = run(
