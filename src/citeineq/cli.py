@@ -182,6 +182,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     suffix = args.out.suffix.lower()
     if args.fmt and suffix in PROFILE_SUFFIXES and suffix != f".{args.fmt}":
         raise ValidationError(f"--format {args.fmt} disagrees with the suffix of --out {args.out}")
+    if args.name is not None and suffix == ".csv":  # a CSV profile is named by its file stem
+        raise ValidationError(f"--name cannot be kept in the CSV file --out {args.out}; use a .json or directory --out")
     spec = SynthSpec(
         model=args.model,
         n_papers=args.n_papers,

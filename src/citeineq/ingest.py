@@ -7,15 +7,18 @@ Two on-disk profile formats are accepted:
 * a JSON document with ``schema_version`` (= 1), ``name``, ``tags`` and a
   ``publications`` array of ``{id, year, citations}`` objects.
 
-Either format is read as columns: one pass collects the pub_id, year and
-citations of every row into three lists, which go straight to
+Either format is read as columns, which go straight to
 ``ResearcherProfile``; it checks the row rules once over each whole column.
-No per-row object is built for a valid file.  A row the profile refuses
-comes back with its index, reported as its CSV line or JSON
-``publications`` index.  A fault in the file's structure (a CSV cell that
-is not an integer, a malformed CSV row, a JSON record without the three
-keys) is reported only when the rows above it keep the row rules; within a
-row, a CSV cell that is not an integer comes before a rule the row breaks.
+No per-row object is built for a valid file.  A CSV file is read by the one
+``csv.reader`` loop, ``csv_columns``, which appends each row's cells to the
+header's columns and keeps no line number per row; the year and citations
+columns then become int64 arrays, at one ``int`` per cell.  A row the
+profile refuses comes back with its index, reported as its JSON
+``publications`` index or as its CSV line, which is worked out only then.
+A fault in the file's structure (a CSV cell that is not an integer, a
+malformed CSV row, a JSON record without the three keys) is reported only
+when the rows above it keep the row rules; within a row, a CSV cell that is
+not an integer comes before a rule the row breaks.
 
 A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file and whose names give distinct
@@ -23,9 +26,10 @@ output file stems.  There is deliberately no network ingestion; snapshots
 must be exported to files first.  Every input file is read as UTF-8 with an
 optional BOM; undecodable bytes raise ``ParseError``.
 
-This module also holds the package's one CSV reader (``csv_rows``), CSV
-writer (``csv_text``) and file writer (``write_text``), which every output
-goes through and which never replaces an existing file.
+This module also holds the package's one CSV reader (``csv_columns``), which
+reads profile and series CSVs, its CSV writer (``csv_text``) and its file
+writer (``write_text``), which every output goes through and which never
+replaces an existing file.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ import json
 import math
 import os
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -94,7 +100,11 @@ def read_text(path, what: str) -> str:
     A path that is not a regular file, or undecodable bytes, raise
     ``ParseError`` naming ``what``.
     """
-    path = _input_file(path, what)
+    return _read_file(_input_file(path, what))
+
+
+def _read_file(path: Path) -> str:
+    """``read_text`` of a path already known to be a regular file."""
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
@@ -131,8 +141,7 @@ def write_text(text: str, path) -> Path:
     return path
 
 
-def _read_json(path: Path, what: str):
-    text = read_text(path, what)
+def _parse_json(text: str):
     try:
         doc = json.loads(text)
         # an unpaired surrogate cannot be written out as UTF-8; most files hold
@@ -148,26 +157,52 @@ def _read_json(path: Path, what: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def csv_rows(lines, header: list[str]):
-    """Yield ``(line number, row)`` for each nonempty CSV row after the header.
+def csv_columns(lines, header: list[str]):
+    """Read the CSV rows after ``header`` into one list of cells per header cell.
 
-    ``lines`` is a text file opened with ``newline=""`` or any iterable of
-    lines.  The first row must be exactly ``header`` and every other row must
-    have as many cells; a bad row, or malformed CSV, raises ``ParseError``.
+    ``lines`` is a text file opened with ``newline=""``, or
+    ``io.StringIO(text, newline="")``, so that a line ends at ``\\r\\n``, a
+    lone ``\\r`` or a lone ``\\n``.  The first row must be exactly ``header``;
+    blank lines are skipped.  Returns ``(columns, line, error)``:
+
+    * ``line(row)`` is the line on which the row with index ``row`` ends.  No
+      line number is kept per row: it is worked out when asked, from the
+      blank lines above the row and the line breaks inside its cells and
+      those of the rows above it (only a quoted cell holds one).
+    * ``error`` is the ``ParseError`` of a wrong header, of a row without
+      ``len(header)`` cells or of malformed CSV, which ends the read; the
+      caller raises it only after the rows above it.  Else it is None.
+
+    Undecodable bytes raise ``UnicodeDecodeError`` while the rows stream in.
     """
+    width = len(header)
+    cells, blanks, error = [], [], None
     reader = csv.reader(lines)
     try:
         first = next(reader, [])
         if first != header:
-            raise ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=reader.line_num)
-            yield reader.line_num, row
+            error = ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
+        else:
+            extend = cells.extend
+            for row in reader:
+                if len(row) == width:
+                    extend(row)
+                elif row:
+                    error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+                    break
+                else:
+                    blanks.append(len(cells) // width)  # the index of the row below the blank line
     except csv.Error as exc:
-        raise ParseError(str(exc), line=reader.line_num) from None
+        error = ParseError(str(exc), line=reader.line_num)
+    columns = [cells[i::width] for i in range(width)]
+    del cells
+
+    def line(row: int) -> int:
+        text = "\0".join(chain.from_iterable(column[: row + 1] for column in columns))
+        breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
+        return 2 + row + bisect_right(blanks, row) + breaks
+
+    return columns, line, error
 
 
 def _profile(name: str, tags: list[str], columns, where, error: ParseError | None):
@@ -188,64 +223,46 @@ def _profile(name: str, tags: list[str], columns, where, error: ParseError | Non
 
 
 def _load_csv(path: Path) -> ResearcherProfile:
-    columns = line_steps, ids, years, citations = [], [], [], []
-    error = None
     try:
-        _read_csv_columns(path, columns)
-    except ParseError as exc:  # a malformed row, below the rows read
-        error = exc
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            columns, line, error = csv_columns(fh, CSV_HEADER)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    ids, years, citations = columns
     try:
-        # both columns or neither are parsed in place, freeing the text cells
-        # before the profile is built
-        years[:], citations[:] = list(map(int, years)), list(map(int, citations))
-    except ValueError:  # a cell that is not an integer, or that only ``str.strip`` makes one
-        error = _parse_cells(columns) or error
-    return _profile(path.stem, [], columns[1:], lambda row: f"line {sum(line_steps[: row + 1])}", error)
-
-
-def _read_csv_columns(path: Path, columns) -> None:
-    """Append each row's line step and three cells to the four ``columns``.
-
-    The rows stream in; only the columns are held.  A row's line number is
-    kept as its step from the row before, almost always 1: a small int is
-    cached, so no int object is held per row.
-    """
-    line_steps, ids, years, citations = columns
-    last_line = 0
-    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
-            for line, (pub_id, year, cites) in csv_rows(fh, CSV_HEADER):
-                line_steps.append(line - last_line)
-                last_line = line
-                ids.append(pub_id)
-                years.append(year)
-                citations.append(cites)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc) from None
+            counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in (years, citations)]
+        except OverflowError:  # a cell past int64, which the profile refuses by its row
+            counts = [list(map(int, cells)) for cells in (years, citations)]
+    except ValueError:  # a cell that is not an integer, or that only ``str.strip`` makes one
+        columns, cell_error = _parse_cells(columns, line)
+        error = cell_error or error
+    else:
+        columns = [ids, *counts]
+    return _profile(path.stem, [], columns, lambda row: f"line {line(row)}", error)
 
 
-def _parse_cells(columns) -> ParseError | None:
-    """Parse the year and citations cells in place, one at a time, in file order.
+def _parse_cells(columns, line) -> tuple[list, ParseError | None]:
+    """Parse the year and citations cells of ``columns`` one at a time, in file order.
 
-    At the first cell that is not an integer, the rows from its row on are
-    dropped from the four ``columns`` and its ``ParseError`` is returned.
+    Returns the ids and the two parsed columns, and None.  At the first cell
+    that is not an integer, it returns the rows above that cell's row instead,
+    and the cell's ``ParseError``, naming the line ``line(row)``.
     """
-    line_steps, _, years, citations = columns
-    for row in range(len(years)):
-        for what, cells in (("year", years), ("citations", citations)):
+    ids, *texts = columns
+    parsed = [], []
+    for row, cells in enumerate(zip(*texts)):
+        for what, cell, ints in zip(("year", "citations"), cells, parsed):
             try:
-                cells[row] = int(cells[row].strip())
+                ints.append(int(cell.strip()))
             except ValueError:
-                line = sum(line_steps[: row + 1])
-                error = ParseError(f"{what} {cells[row]!r} is not an integer", line=line)
-                for column in columns:
-                    del column[row:]
-                return error
-    return None
+                error = ParseError(f"{what} {cell!r} is not an integer", line=line(row))
+                return [ids[:row], *(column[:row] for column in parsed)], error
+    return [ids, *parsed], None
 
 
 def _load_json(path: Path) -> ResearcherProfile:
-    doc = _read_json(path, "profile")
+    doc = _parse_json(_read_file(path))  # load_profile has checked the path
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
@@ -316,7 +333,7 @@ class ManifestEntry:
 def load_manifest(path) -> list[ManifestEntry]:
     """Load a cohort manifest; entry paths resolve relative to the manifest."""
     path = Path(path)
-    doc = _read_json(path, "manifest")
+    doc = _parse_json(read_text(path, "manifest"))
     if not isinstance(doc, list):
         raise ParseError("manifest must be a JSON array of {name, path, tags}")
     entries = []

@@ -76,12 +76,13 @@ class Publication(_Row):
 
 
 def check_rows(ids, years, citations) -> None:
-    """Build each row's ``Publication`` in input order.
+    """Build each row's ``Publication`` in input order; a numpy column gives
+    its ``tolist()`` cells.
 
     The first row that breaks a rule raises its ``ValidationError``, with
     the row's index as ``row``.
     """
-    for row, cells in enumerate(zip(ids, years, citations)):
+    for row, cells in enumerate(zip(*map(_cells, (ids, years, citations)))):
         try:
             Publication(*cells)
         except ValidationError as exc:
@@ -138,7 +139,7 @@ class ResearcherProfile:
         citations = _int64_column(self.citations, 0, MAX_CITATIONS)
         if years is None or citations is None or not (set(map(type, ids)) <= {str} and all(ids)):
             # the check fails exactly when some row breaks a rule; the first one raises
-            check_rows(ids, _cells(self.years), _cells(self.citations))
+            check_rows(ids, self.years, self.citations)
         if not ids:
             raise EmptyProfile(f"profile {self.name!r} has no publications")
         if len(set(ids)) < len(ids):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .ingest import csv_rows, csv_text, read_text, write_text
+from .ingest import csv_columns, csv_text, read_text, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -39,21 +39,23 @@ def series_to_csv(series: IndexSeries) -> str:
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
     """Parse series CSV text; ``WindowEntry`` checks each row's values, and
     ``IndexSeries`` then checks that the central years ascend."""
-    entries, lines = [], []
-    for line, row in csv_rows(io.StringIO(text), SERIES_COLUMNS):
-        year, g, k, n_pubs, n_cites, reason = (cell.strip() for cell in row)
+    columns, line, error = csv_columns(io.StringIO(text, newline=""), SERIES_COLUMNS)
+    entries = []
+    for row, cells in enumerate(zip(*columns)):
+        year, g, k, n_pubs, n_cites, reason = map(str.strip, cells)
         try:
             entries.append(WindowEntry(
                 int(year), float(g) if g else None, float(k) if k else None,
                 int(n_pubs), int(n_cites), reason or None,
             ))
         except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{source}: {exc}", line=line) from None
-        lines.append(line)
+            raise ParseError(f"{source}: {exc}", line=line(row)) from None
+    if error is not None:  # a malformed row below the rows read
+        raise error
     try:
         return IndexSeries(entries=entries)
     except ValidationError as exc:
-        raise ParseError(f"{source}: {exc}", line=lines[exc.row]) from None
+        raise ParseError(f"{source}: {exc}", line=line(exc.row)) from None
 
 
 def read_series_csv(path) -> IndexSeries:

@@ -1,5 +1,6 @@
 """Shared oracles and builders for the test suite."""
 
+import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -181,8 +182,27 @@ def _row_by_row_int(text: str, what: str, line: int) -> int:
         raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
 
 
+def _csv_rows(fh, header):
+    """Yield ``(line number, row)`` for each nonempty CSV row after ``header``,
+    as ``csv.reader`` counts the lines; a bad header or row, or malformed CSV,
+    raises ``ParseError``.  Kept apart from the loader's own reader."""
+    reader = csv.reader(fh)
+    try:
+        first = next(reader, [])
+        if first != header:
+            raise ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", line=reader.line_num)
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
+
+
 def _row_by_row_csv(fh):
-    for line, (pub_id, year, citations) in ingest.csv_rows(fh, ingest.CSV_HEADER):
+    for line, (pub_id, year, citations) in _csv_rows(fh, ingest.CSV_HEADER):
         year = _row_by_row_int(year, "year", line)
         citations = _row_by_row_int(citations, "citations", line)
         try:
@@ -192,7 +212,7 @@ def _row_by_row_csv(fh):
 
 
 def _row_by_row_json(path: Path):
-    doc = ingest._read_json(path, "profile")
+    doc = ingest._parse_json(ingest.read_text(path, "profile"))
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")

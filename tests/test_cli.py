@@ -821,6 +821,16 @@ class TestSynthCommand:
         assert err.startswith("error: ValidationError: --format ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out_name", ["p.csv", "p.CSV"])
+    def test_name_with_csv_file_out_is_refused(self, tmp_path, capsys, out_name):
+        code, out, err = run(capsys, "synth", "--name", "Jane Doe", "--out", tmp_path / out_name)
+        assert code == 1
+        assert err == (
+            f"error: ValidationError: --name cannot be kept in the CSV file --out {tmp_path / out_name}; "
+            "use a .json or directory --out\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fmt", [None, "csv", "json"])
     def test_directory_out_takes_format(self, tmp_path, capsys, fmt):
         argv = ["synth", "--name", "J", "--out", tmp_path] + (["--format", fmt] if fmt else [])

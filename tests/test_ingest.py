@@ -258,8 +258,10 @@ def columnar_load(path):
     return profile.name, profile.tags, rows
 
 
-#: Padding that the CSV integer parse strips; the last is not whitespace to ``int`` alone.
-PADS = ["", " ", "\t", "\x1c"]
+#: Padding of an integer cell: ``int`` alone refuses ``\x1c``, which ``str.strip``
+#: removes; ``csv.writer`` quotes a cell holding an LF, which puts its row on more
+#: lines, and leaves a lone CR bare, which splits the row.
+PADS = ["", " ", "\t", "\x1c", "\n", "\r"]
 
 #: The faults a record may be given, each as (field, values it may take).
 #: A field of None drops one of the keys listed; values of None copy the id
@@ -290,7 +292,7 @@ def faulty_records(draw, not_objects=False):
     """
     records = [
         {
-            "id": f"p{i}" + draw(st.sampled_from(["", "\0", "\nq", ","])),
+            "id": f"p{i}" + draw(st.sampled_from(["", "\0", "\nq", "\r\nq", "\rq", ","])),
             "year": draw(st.integers(MIN_YEAR, MAX_YEAR)),
             "citations": draw(st.integers(0, MAX_CITATIONS) | st.integers(0, 9)),
         }

@@ -34,6 +34,14 @@ class TestYearsAscend:
         with pytest.raises(ParseError, match="^line 6: <series>: central_year must ascend, but 2003 follows 2003$"):
             series_from_csv(text)
 
+    def test_the_line_counts_line_breaks_inside_quoted_cells(self):
+        # a blank line, then a skipped row whose quoted reason holds a line break
+        above = HEADER + '\n2000,,,0,0,"no_pubs\n"\n'
+        with pytest.raises(ParseError, match=r"^line 5: <series>: g and k must lie in \[0, 1\], got 0.5, 1.7$"):
+            series_from_csv(above + "2001,0.5,1.7,5,50,\n")
+        with pytest.raises(ParseError, match="^line 6: <series>: central_year must ascend, but 2000 follows 2001$"):
+            series_from_csv(above + "2001,0.5,0.7,5,50,\n2000,0.5,0.7,5,50,\n")
+
     @pytest.mark.parametrize("command", ["fit", "plotdata"])
     def test_cli_refuses_them_in_one_line(self, tmp_path, capsys, command):
         series_path = tmp_path / "s.csv"
