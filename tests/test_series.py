@@ -42,6 +42,11 @@ class TestYearsAscend:
         with pytest.raises(ParseError, match="^line 6: <series>: central_year must ascend, but 2000 follows 2001$"):
             series_from_csv(above + "2001,0.5,0.7,5,50,\n2000,0.5,0.7,5,50,\n")
 
+    def test_text_with_cr_line_ends_reads_like_a_file(self):
+        # series text is read with the line ends of a file opened with newline=""
+        text = HEADER + "2001,0.5,0.7,5,50,\n\n2002,,,0,0,no_pubs\n"
+        assert series_from_csv(text.replace("\n", "\r")) == series_from_csv(text)
+
     @pytest.mark.parametrize("command", ["fit", "plotdata"])
     def test_cli_refuses_them_in_one_line(self, tmp_path, capsys, command):
         series_path = tmp_path / "s.csv"
