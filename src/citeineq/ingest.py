@@ -12,7 +12,8 @@ Either format is read as columns, which go straight to
 No per-row object is built for a valid file.  A CSV file is read by the one
 ``csv.reader`` loop, ``csv_columns``, which appends each row's cells to the
 header's columns and keeps no line number per row; the year and citations
-columns then become int64 arrays, at one ``int`` per cell.  A row the
+columns then become int64 arrays, at one ``int`` per cell, or else are read
+again by ``_parse_cells``, the one statement of an integer cell.  A row the
 profile refuses comes back with its index, reported as its JSON
 ``publications`` index or as its CSV line, which is worked out only then.
 A fault in the file's structure (a CSV cell that is not an integer, a
@@ -83,6 +84,12 @@ def _profile_format(path: Path) -> str:
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"not UTF-8 text ({exc.reason}): {path}")
+
+
+def _has_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a surrogate, as an undecodable file-name or argv
+    byte gives; such text cannot be written as UTF-8."""
+    return any("\ud800" <= ch <= "\udfff" for ch in text)
 
 
 def _input_file(path, what: str) -> Path:
@@ -223,6 +230,9 @@ def _profile(name: str, tags: list[str], columns, where, error: ParseError | Non
 
 
 def _load_csv(path: Path) -> ResearcherProfile:
+    """A CSV profile named by its stem; ``_parse_cells`` reads columns the int64 screen refuses."""
+    if _has_surrogate(path.stem):  # the stem names the profile, which is written out as UTF-8
+        raise ParseError(f"profile file name is not UTF-8: {path}")
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
             columns, line, error = csv_columns(fh, CSV_HEADER)
@@ -230,11 +240,8 @@ def _load_csv(path: Path) -> ResearcherProfile:
         raise _not_utf8(path, exc) from None
     ids, years, citations = columns
     try:
-        try:
-            counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in (years, citations)]
-        except OverflowError:  # a cell past int64, which the profile refuses by its row
-            counts = [list(map(int, cells)) for cells in (years, citations)]
-    except ValueError:  # a cell that is not an integer, or that only ``str.strip`` makes one
+        counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in (years, citations)]
+    except (ValueError, OverflowError):  # a cell that ``int`` refuses, or one past int64
         columns, cell_error = _parse_cells(columns, line)
         error = cell_error or error
     else:
@@ -245,9 +252,9 @@ def _load_csv(path: Path) -> ResearcherProfile:
 def _parse_cells(columns, line) -> tuple[list, ParseError | None]:
     """Parse the year and citations cells of ``columns`` one at a time, in file order.
 
-    Returns the ids and the two parsed columns, and None.  At the first cell
-    that is not an integer, it returns the rows above that cell's row instead,
-    and the cell's ``ParseError``, naming the line ``line(row)``.
+    A cell is an integer when ``int(cell.strip())`` reads it, at any size.
+    Returns the ids and the two parsed columns, and None; at the first bad
+    cell, the rows above its row and the cell's ``ParseError`` on ``line(row)``.
     """
     ids, *texts = columns
     parsed = [], []
@@ -399,13 +406,18 @@ class SynthSpec:
     def __post_init__(self):
         if self.model not in ("powerlaw", "uniform", "equal"):
             raise BadSpec(f"unknown model {self.model!r}")
+        first, last = self.span_years
+        ints = {"n_papers": self.n_papers, "span_years[0]": first, "span_years[1]": last,
+                "seed": self.seed, "value": self.value}
+        for field, value in ints.items():
+            if type(value) is not int:  # a bool or a float would be truncated, or fail inside numpy
+                raise BadSpec(f"{field} must be an int, got {value!r}")
         if not 1 <= self.n_papers <= MAX_SYNTH_PAPERS:
             raise BadSpec(f"n_papers must be in [1, {MAX_SYNTH_PAPERS}], got {self.n_papers}")
         if not math.isfinite(self.exponent):
             raise BadSpec(f"exponent must be finite, got {self.exponent}")
         if self.model == "powerlaw" and self.exponent <= 1.0:
             raise BadSpec("powerlaw exponent must be > 1")
-        first, last = self.span_years
         if not MIN_YEAR <= first <= last <= MAX_YEAR:
             raise BadSpec(
                 f"span_years must satisfy {MIN_YEAR} <= first <= last <= {MAX_YEAR}, "
@@ -419,8 +431,7 @@ class SynthSpec:
 
 def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile:
     """Generate a synthetic profile; identical specs yield identical profiles."""
-    # load_profile refuses an empty name, and a surrogate (an undecodable argv byte) is not UTF-8
-    if name is not None and (not name or any("\ud800" <= ch <= "\udfff" for ch in name)):
+    if name is not None and (not name or _has_surrogate(name)):  # load_profile refuses an empty name
         raise BadSpec(f"name must be a nonempty string encodable as UTF-8, got {name!r}")
     rng = np.random.default_rng(spec.seed)
     first, last = spec.span_years

@@ -71,11 +71,20 @@ def fit_k_vs_g(points) -> FitResult:
     Raises
     ------
     DegenerateFit
-        With fewer than 2 points, or when every g is zero.
+        With points that are not (g, k) pairs, fewer than 2 points, or when
+        every g is zero.
+    OutOfRange
+        When a g or k is not finite.
     """
     pts = np.asarray(list(points), dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] != 2:
+    if len(pts) and (pts.ndim != 2 or pts.shape[1] != 2):
+        raise DegenerateFit(f"points must be (g, k) pairs, got an array of shape {pts.shape}")
+    if len(pts) < 2:
         raise DegenerateFit(f"need at least 2 (g, k) points, got {len(pts)}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise OutOfRange(f"g and k must be finite, got point {bad}: {tuple(pts[bad].tolist())}")
     g, k = pts[:, 0], pts[:, 1]
     gg = float(np.dot(g, g))
     if gg == 0.0:

@@ -32,6 +32,10 @@ class WindowConfig:
     min_pubs: int = 2
 
     def __post_init__(self):
+        for name in ("width_years", "stride_years", "end_year", "min_pubs"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a float width would give central years such as 2002.0
+                raise ValidationError(f"{name} must be an int, got {value!r}")
         for name in ("width_years", "stride_years", "min_pubs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")

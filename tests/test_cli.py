@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from citeineq import (
     IndexSeries,
+    ParseError,
     SynthSpec,
     WindowEntry,
     cli,
@@ -187,6 +188,20 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error: AllSkipped:")
         assert err.strip().count("\n") == 0
+
+    @pytest.mark.parametrize("flags", [[], ["--markdown"]], ids=["plain", "markdown"])
+    def test_file_name_that_is_not_utf8_is_refused_before_any_write(self, tmp_path, capfd, flags):
+        path = tmp_path / os.fsdecode(b"\xff.csv")
+        try:
+            path.write_text("pub_id,year,citations\np1,2001,1\np2,2002,3\n")
+        except (OSError, UnicodeEncodeError):
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        out_dir = tmp_path / "out"
+        code = main(["analyze", str(path), "--out", str(out_dir), *flags])
+        err = capfd.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ParseError: profile file name is not UTF-8: ") and err.count("\n") == 1
+        assert not out_dir.exists()
 
     def test_overflowing_counts_are_input_error(self, tmp_path, capsys):
         # an int64 sum of these counts wraps around; they fail the citation cap instead
@@ -431,6 +446,10 @@ def build_cohort(tmp_path, n_profiles=3):
 
 
 class TestBatch:
+    def test_aggregates_with_no_summaries(self):
+        failures = [("ghost", ParseError("profile file not found: ghost.csv"))]
+        assert report.BatchResult([], failures).aggregates == {"n_profiles": 0, "n_failures": 1}
+
     def test_three_profile_cohort(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path)
         out_dir = tmp_path / "out"

@@ -339,11 +339,19 @@ class TestRowErrorOrder:
         path.write_text(json_text(records), encoding="utf-8")
         assert outcome(columnar_load, path) == outcome(row_by_row_load, path)
 
-    @pytest.mark.parametrize("line_5", [["p4", "abc", "1"], ["p4", "2001"]], ids=["not-integer", "two-cells"])
-    def test_validation_error_on_line_3_beats_parse_error_on_line_5(self, tmp_path, line_5):
-        rows = [["p1", "2001", "1"], ["p2", "1500", "1"], ["p3", "2001", "1"], line_5]
+    @pytest.mark.parametrize(
+        "line_3, line_5",
+        [
+            (["p2", "1500", "1"], ["p4", "abc", "1"]),
+            (["p2", "1500", "1"], ["p4", "2001"]),
+            (["p2", str(10**30), "1"], ["p4", "abc", "1"]),
+        ],
+        ids=["not-integer", "two-cells", "past-int64-then-not-integer"],
+    )
+    def test_validation_error_on_line_3_beats_parse_error_on_line_5(self, tmp_path, line_3, line_5):
+        rows = [["p1", "2001", "1"], line_3, ["p3", "2001", "1"], line_5]
         path = write(tmp_path, "v.csv", csv_text(rows))
-        with pytest.raises(ValidationError, match=r"^line 3: publication 'p2': year 1500 "):
+        with pytest.raises(ValidationError, match=rf"^line 3: publication 'p2': year {line_3[1]} "):
             load_profile(path)
 
     @pytest.mark.parametrize(
@@ -352,6 +360,7 @@ class TestRowErrorOrder:
             (["", "2001", "x"], "line 2: citations 'x' is not an integer"),
             (["p1", "abc", "-1"], "line 2: year 'abc' is not an integer"),
             (["p1", "1500", "1.0"], "line 2: citations '1.0' is not an integer"),
+            (["p1", "99999999999999999999", "x"], "line 2: citations 'x' is not an integer"),
         ],
     )
     def test_parse_error_beats_validation_error_in_same_row(self, tmp_path, row, message):
@@ -757,3 +766,20 @@ class TestSynthesis:
     def test_bad_specs(self, kwargs):
         with pytest.raises(BadSpec):
             SynthSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("n_papers", {"n_papers": 2.5}),
+            ("n_papers", {"n_papers": True}),
+            ("seed", {"seed": 1.5}),
+            ("value", {"value": 7.5}),
+            ("value", {"value": 7.0}),
+            ("span_years[0]", {"span_years": (2000.0, 2010)}),
+            ("span_years[1]", {"span_years": (2000, np.float64(2010))}),
+        ],
+    )
+    def test_integer_fields_must_be_ints(self, field, kwargs):
+        with pytest.raises(BadSpec) as info:
+            SynthSpec(**{"model": "equal", "n_papers": 5, **kwargs})
+        assert str(info.value).startswith(f"{field} must be an int, got ")

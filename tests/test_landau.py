@@ -106,6 +106,25 @@ class TestFit:
         with pytest.raises(DegenerateFit, match=f"^need at least 2 \\(g, k\\) points, got {n}$"):
             fit_k_vs_g([(0.5, 0.7)] * n)
 
+    @pytest.mark.parametrize(
+        "pts, shape",
+        [
+            ([(0.1, 0.5, 1.0), (0.2, 0.6, 1.0)], (2, 3)),
+            ([(), ()], (2, 0)),
+            ([0.1, 0.5], (2,)),
+            ([[(0.1, 0.5)], [(0.2, 0.6)]], (2, 1, 2)),
+        ],
+    )
+    def test_points_that_are_not_pairs_name_their_shape(self, pts, shape):
+        with pytest.raises(DegenerateFit) as info:
+            fit_k_vs_g(pts)
+        assert str(info.value) == f"points must be (g, k) pairs, got an array of shape {shape}"
+
+    @pytest.mark.parametrize("bad", [(0.2, float("nan")), (float("inf"), 0.6), (float("-inf"), 0.6)])
+    def test_non_finite_point_is_out_of_range(self, bad):
+        with pytest.raises(OutOfRange, match=r"^g and k must be finite, got point 1: "):
+            fit_k_vs_g([(0.1, 0.55), bad, (0.3, 0.6)])
+
     def test_all_zero_g_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_k_vs_g([(0.0, 0.5), (0.0, 0.6)])

@@ -33,6 +33,11 @@ class TestRefusals:
         with pytest.raises(ValidationError):
             index_pair([3, -1, 2])
 
+    @pytest.mark.parametrize("counts", [["a"], [1, None]])
+    def test_non_numeric_rejected(self, counts):
+        with pytest.raises(ValidationError, match="^citation counts must be integers or floats$"):
+            index_pair(counts)
+
 
 class TestGini:
     def test_perfect_equality(self):

@@ -106,6 +106,14 @@ class TestWindowSeries:
         with pytest.raises(ValidationError):
             WindowConfig(width_years=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("width_years", 4.0), ("stride_years", True), ("end_year", 2022.0), ("min_pubs", np.int64(2))],
+    )
+    def test_integer_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be an int, got "):
+            WindowConfig(**{field: value})
+
     @given(profiles, st.integers(1, 8), st.integers(1, 4))
     def test_window_count_formula(self, profile, width, stride):
         config = WindowConfig(width_years=width, stride_years=stride, end_year=2022)
