@@ -71,12 +71,15 @@ def fit_k_vs_g(points) -> FitResult:
     Raises
     ------
     DegenerateFit
-        With points that are not (g, k) pairs, fewer than 2 points, or when
-        every g is zero.
+        With points that are not (g, k) pairs of numbers, fewer than 2
+        points, or when every g is zero.
     OutOfRange
         When a g or k is not finite.
     """
-    pts = np.asarray(list(points), dtype=float)
+    try:
+        pts = np.asarray(list(points), dtype=float)
+    except (TypeError, ValueError) as exc:  # points of unequal lengths, or a value that is not a number
+        raise DegenerateFit(f"points must be (g, k) pairs of numbers: {exc}") from None
     if len(pts) and (pts.ndim != 2 or pts.shape[1] != 2):
         raise DegenerateFit(f"points must be (g, k) pairs, got an array of shape {pts.shape}")
     if len(pts) < 2:

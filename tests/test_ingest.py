@@ -164,6 +164,20 @@ class TestJsonLoading:
         with pytest.raises(SchemaError, match="schema_version 2"):
             load_profile(path)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"name": ""}, "profile 'name' must be a nonempty string"),
+            ({"name": 5}, "profile 'name' must be a nonempty string"),
+            ({"tags": "prize"}, "profile 'tags' must be an array of strings"),
+            ({"tags": ["prize", 1]}, "profile 'tags' must be an array of strings"),
+        ],
+    )
+    def test_bad_name_or_tags(self, tmp_path, overrides, message):
+        with pytest.raises(ValidationError) as info:
+            load_profile(write(tmp_path, "n.json", json.dumps(self.doc(**overrides))))
+        assert str(info.value) == message
+
     def test_missing_schema_version(self, tmp_path):
         doc = self.doc()
         del doc["schema_version"]
@@ -545,6 +559,13 @@ class TestManifest:
     def test_not_an_array(self, tmp_path):
         with pytest.raises(ParseError):
             load_manifest(write(tmp_path, "n.json", json.dumps({"name": "A"})))
+
+    @pytest.mark.parametrize("tags", ["t", [1], [["t"]]])
+    def test_tags_must_be_an_array_of_strings(self, tmp_path, tags):
+        doc = [{"name": "A", "path": "a.csv"}, {"name": "B", "path": "b.csv", "tags": tags}]
+        with pytest.raises(ValidationError) as info:
+            load_manifest(write(tmp_path, "t.json", json.dumps(doc)))
+        assert str(info.value) == "manifest[1]: tags must be an array of strings"
 
     def test_missing_path_field(self, tmp_path):
         with pytest.raises(ParseError):

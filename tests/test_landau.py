@@ -120,7 +120,12 @@ class TestFit:
             fit_k_vs_g(pts)
         assert str(info.value) == f"points must be (g, k) pairs, got an array of shape {shape}"
 
-    @pytest.mark.parametrize("bad", [(0.2, float("nan")), (float("inf"), 0.6), (float("-inf"), 0.6)])
+    @pytest.mark.parametrize("pts", [[(0.1, 0.5), (0.2,)], [(0.1, 0.5), ("a", 0.6)]])
+    def test_points_that_are_not_pairs_of_numbers(self, pts):
+        with pytest.raises(DegenerateFit, match=r"^points must be \(g, k\) pairs of numbers: "):
+            fit_k_vs_g(pts)
+
+    @pytest.mark.parametrize("bad", [(0.2, float("nan")), (float("inf"), 0.6), (float("-inf"), 0.6), (None, 0.6)])
     def test_non_finite_point_is_out_of_range(self, bad):
         with pytest.raises(OutOfRange, match=r"^g and k must be finite, got point 1: "):
             fit_k_vs_g([(0.1, 0.55), bad, (0.3, 0.6)])
