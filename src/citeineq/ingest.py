@@ -47,8 +47,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
+from ._lazy import np
 from .errors import BadSpec, ParseError, SchemaError, ValidationError
 from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, ResearcherProfile, check_rows
 
@@ -406,6 +405,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.model not in ("powerlaw", "uniform", "equal"):
             raise BadSpec(f"unknown model {self.model!r}")
+        if not isinstance(self.span_years, (tuple, list)) or len(self.span_years) != 2:
+            raise BadSpec(f"span_years must be a (first, last) pair, got {self.span_years!r}")
+        if not isinstance(self.exponent, (int, float)):
+            raise BadSpec(f"exponent must be a real number, got {self.exponent!r}")
         first, last = self.span_years
         ints = {"n_papers": self.n_papers, "span_years[0]": first, "span_years[1]": last,
                 "seed": self.seed, "value": self.value}

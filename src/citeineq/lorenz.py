@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EmptyInput, ValidationError, ZeroTotal
 
 

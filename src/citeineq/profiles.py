@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._lazy import np
 from .errors import EmptyProfile, ValidationError
 
 MIN_YEAR = 1800

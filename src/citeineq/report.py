@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ParseError, ValidationError
 from .ingest import csv_columns, csv_text, read_text, write_text
 from .landau import FitResult
@@ -118,7 +116,9 @@ def inset_csv(series: IndexSeries, fit: FitResult) -> str:
     """Plot-ready k-vs-g panel: observed points plus sampled fitted line."""
     rows = [["kind", "g", "k"]]
     rows += [["point", pair.g, pair.k] for pair in series.pairs()]
-    rows += [["line", g, 0.5 + fit.c * g] for g in np.linspace(0.0, 1.0, INSET_LINE_SAMPLES).tolist()]
+    step = 1.0 / (INSET_LINE_SAMPLES - 1)  # the samples of np.linspace(0.0, 1.0, INSET_LINE_SAMPLES)
+    line = [i * step for i in range(INSET_LINE_SAMPLES - 1)] + [1.0]
+    rows += [["line", g, 0.5 + fit.c * g] for g in line]
     return csv_text(rows)
 
 

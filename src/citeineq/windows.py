@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .errors import AllSkipped, NoWindows, ValidationError
 from .lorenz import IndexPair, index_pairs
 from .profiles import MAX_YEAR, MIN_YEAR, ResearcherProfile

@@ -11,6 +11,7 @@ import weakref
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from citeineq import (
     SynthSpec,
     WindowEntry,
     cli,
+    fit_k_vs_g,
     load_profile,
     report,
     synth_profile,
@@ -119,6 +121,29 @@ class TestInProcessReuse:
 
         assert (suffixes(0), suffixes(1)) == ([".csv", ".json", ".md"], [".csv", ".json"])
         assert not (tmp_path / "here" / "4").exists()
+
+
+    def test_fit_and_plotdata_run_without_numpy(self, tmp_path, equal_profile_path):
+        # a fresh interpreter, since this one imported numpy long ago
+        script = """if True:
+            import sys
+            import citeineq
+            import citeineq.cli
+            from citeineq.cli import main
+            series, profile, out = sys.argv[1:]
+            assert "numpy" not in sys.modules, "numpy imported with the package"
+            assert main(["fit", series, "--out", out + "/fit"]) == 0
+            assert main(["plotdata", series, "--out", out + "/plotdata"]) == 0
+            assert "numpy" not in sys.modules, "numpy imported by fit or plotdata"
+            assert main(["analyze", profile, "--out", out + "/analyze"]) == 0
+            assert "numpy" in sys.modules
+        """
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, str(self.SERIES), str(equal_profile_path), str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert all((tmp_path / name).is_dir() for name in ("fit", "plotdata", "analyze"))
 
 
 class TestAnalyze:
@@ -392,6 +417,14 @@ class TestPlotdata:
         assert code == 0
         panel = (marked / "s_timepanel.csv").read_text().splitlines()
         assert all(row.endswith(",0.9") for row in panel[1:])
+
+    def test_inset_line_samples_are_those_of_linspace(self):
+        series = report.read_series_csv(TestInProcessReuse.SERIES)
+        fit = fit_k_vs_g(series.pairs())
+        rows = [row for row in csv.reader(report.inset_csv(series, fit).splitlines()) if row[0] == "line"]
+        g = [float(row[1]) for row in rows]
+        assert g == np.linspace(0.0, 1.0, report.INSET_LINE_SAMPLES).tolist()
+        assert [float(row[2]) for row in rows] == [0.5 + fit.c * x for x in g]
 
     @pytest.mark.parametrize("mark", ["nan", "inf", "1.5", "-0.25"])
     def test_soc_mark_outside_unit_interval_is_one_line_validation_error(self, tmp_path, capsys, mark):

@@ -782,6 +782,11 @@ class TestSynthesis:
             {"model": "powerlaw", "n_papers": 5, "exponent": 1.0},
             {"model": "equal", "n_papers": 5, "span_years": (2010, 2000)},
             {"model": "equal", "n_papers": 5, "value": -1},
+            {"model": "equal", "n_papers": 5, "span_years": (2000,)},
+            {"model": "equal", "n_papers": 5, "span_years": (2000, 2001, 2002)},
+            {"model": "equal", "n_papers": 5, "span_years": 2000},
+            {"model": "powerlaw", "n_papers": 5, "exponent": "2"},
+            {"model": "powerlaw", "n_papers": 5, "exponent": None},
         ],
     )
     def test_bad_specs(self, kwargs):

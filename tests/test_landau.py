@@ -1,5 +1,8 @@
 """Quadratic Lorenz model, its linear limit, and the k-vs-g fit."""
 
+import random
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,9 @@ from citeineq import (
     landau_k_approx,
     landau_k_exact,
 )
+from citeineq.report import read_series_csv
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "profiles"
 
 gini_values = st.floats(0.0, 1.0, allow_nan=False)
 
@@ -61,6 +67,12 @@ class TestExactRoot:
         grid = np.linspace(0, 1, 1001)
         values = np.array([landau_k_exact(g) for g in grid])
         assert np.all(np.diff(values) > 0)
+
+    def test_matches_the_numpy_form_bit_for_bit(self):
+        # math.sqrt and np.sqrt are both correctly rounded
+        for g in np.linspace(0, 1, 1001).tolist():
+            b = 2.0 - 3.0 * g
+            assert landau_k_exact(g) == float(2.0 / (np.sqrt(b * b + 12.0 * g) + b)), g
 
 
 class TestApprox:
@@ -130,6 +142,29 @@ class TestFit:
         with pytest.raises(OutOfRange, match=r"^g and k must be finite, got point 1: "):
             fit_k_vs_g([(0.1, 0.55), bad, (0.3, 0.6)])
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(1e300, 1e10), (1e300, -1e10)],  # products of +inf and -inf
+            [(0.5, 1e308)] * 2,  # c overflows
+            [(1.3e154, 0.6)] * 2,  # the sum of g^2 overflows
+            [(1e200, 0.6)] * 2,  # g^2 overflows, and c would read 0
+            [(1.0, 1e200), (1.0, -1e200)],  # the squared residuals overflow
+        ],
+    )
+    def test_overflow_is_out_of_range(self, pts):
+        with pytest.raises(OutOfRange, match=r"^the fit of 2 \(g, k\) points overflows a float$"):
+            fit_k_vs_g(pts)
+
+    def test_int_past_the_float_range_is_out_of_range(self):
+        with pytest.raises(OutOfRange, match=r"^g and k must be finite: int too large to convert to float$"):
+            fit_k_vs_g([(0.1, 0.55), (10**400, 0.6)])
+
+    @pytest.mark.parametrize("pts", [[(1, 1), (0, 0.5)], [[0.25, 0.625], (True, 0.875)], [(np.float64(0.5), 0.7)] * 2])
+    def test_ints_lists_and_numpy_floats_read_as_floats(self, pts):
+        as_floats = [(float(g), float(k)) for g, k in pts]
+        assert fit_k_vs_g(pts) == fit_k_vs_g(as_floats)
+
     def test_all_zero_g_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_k_vs_g([(0.0, 0.5), (0.0, 0.6)])
@@ -158,9 +193,17 @@ class TestFit:
     def test_permutation_invariant_and_closed_form(self, pts, seed):
         fit = fit_k_vs_g(pts)
         order = np.random.default_rng(seed).permutation(len(pts))
-        refit = fit_k_vs_g([pts[i] for i in order])
-        assert refit.c == pytest.approx(fit.c, abs=1e-12)
+        assert fit_k_vs_g([pts[i] for i in order]) == fit  # bit for bit: each sum is exactly rounded
         g = np.array([p[0] for p in pts])
         k = np.array([p[1] for p in pts])
         closed_form = float(np.sum(g * (k - 0.5)) / np.sum(g * g))
         assert fit.c == pytest.approx(closed_form, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["powerlaw-02", "powerlaw-05", "powerlaw-08", "uniform-04", "uniform-07"])
+    def test_golden_series_fit_does_not_depend_on_point_order(self, name):
+        pts = read_series_csv(GOLDEN / f"{name}_series.csv").pairs()
+        fit = fit_k_vs_g(pts)
+        for seed in range(20):
+            shuffled = list(pts)
+            random.Random(seed).shuffle(shuffled)
+            assert fit_k_vs_g(shuffled) == fit, seed
