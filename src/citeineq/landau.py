@@ -9,8 +9,8 @@ follow k = 1/2 + 0.39 g, which extrapolates to a g = k crossing near 0.82.
 Everything here is plain float arithmetic: ``math.sqrt`` for the root, and
 ``math.fsum`` for the fit's sums, so that the fitted slope does not depend
 on the order of the points or on the machine.  numpy is imported only for
-points that are not pairs of ints and floats, to convert them or to name
-what is wrong with them.
+points that are not pairs of floats, to convert them or to name what is
+wrong with them.
 """
 
 from __future__ import annotations
@@ -73,17 +73,14 @@ def landau_k_approx(g: float) -> float:
 def _float_pairs(points) -> list:
     """The points as (g, k) floats.
 
-    Tuples or lists of two ints or floats are read here; anything else
-    (a numpy scalar, a string, a point of another length) goes through
+    Tuples or lists of two floats are taken as they are; anything else (an
+    int, a numpy scalar, a string, a point of another length) goes through
     numpy's conversion, which also names what is wrong with a point.
     """
     pts = list(points)
     if (all(map(isinstance, pts, repeat((tuple, list)))) and set(map(len, pts)) <= {2}
-            and set(map(type, chain.from_iterable(pts))) <= {float, int, bool}):
-        try:
-            return [(float(g), float(k)) for g, k in pts]
-        except OverflowError:  # an int past the float range; numpy's conversion refuses it below
-            pass
+            and set(map(type, chain.from_iterable(pts))) <= {float}):
+        return pts
     try:
         arr = np.asarray(pts, dtype=float)
     except OverflowError as exc:

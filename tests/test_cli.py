@@ -122,7 +122,6 @@ class TestInProcessReuse:
         assert (suffixes(0), suffixes(1)) == ([".csv", ".json", ".md"], [".csv", ".json"])
         assert not (tmp_path / "here" / "4").exists()
 
-
     def test_fit_and_plotdata_run_without_numpy(self, tmp_path, equal_profile_path):
         # a fresh interpreter, since this one imported numpy long ago
         script = """if True:
