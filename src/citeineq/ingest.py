@@ -135,7 +135,7 @@ def write_text(text: str, path) -> Path:
     path = Path(path)
     refuse_existing([path])
     path.parent.mkdir(parents=True, exist_ok=True)
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = path.with_name(f".{path.name[:50]}.{os.getpid()}.tmp")
     fh = open(temp, "x", encoding="utf-8", newline="")  # a temp this call did not make is left alone
     try:
         with fh:

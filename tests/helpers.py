@@ -1,6 +1,9 @@
 """Shared oracles and builders for the test suite."""
 
 import csv
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -22,11 +25,26 @@ from citeineq import (
 from citeineq import ingest
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 
+ROOT = Path(__file__).resolve().parent.parent
+
 # Integer vector whose window statistics show g >= k and a peak ratio >= 40;
 # heavy-tailed with many barely-cited papers, like a real crossing career.
 CROSSING_WINDOW = (
     [0] * 10 + [1] * 21 + [2] * 8 + [3, 3, 4, 5, 11, 16, 30, 33, 135, 462, 5821]
 )
+
+
+def run_python(*args) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args``, with the package from ``src/``, and
+    return its exit code and text output.
+
+    A ``RuntimeWarning`` is an error there, as pytest's ``filterwarnings``
+    makes it here, so a warning fails the child and shows on its stderr.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
 
 
 def gini_pairwise(counts) -> float:

@@ -26,7 +26,7 @@ from citeineq import (
     write_profile,
 )
 from citeineq.cli import main
-from helpers import citations_in, gini_pairwise, lorenz_at, make_profile, series_from_pairs
+from helpers import ROOT, citations_in, gini_pairwise, lorenz_at, make_profile, run_python, series_from_pairs
 
 N_VECTORS = 1000
 N_TRIALS = 1000
@@ -187,6 +187,17 @@ def test_criterion_6_reference_table_arithmetic(cohort_snapshot):
         failures,
         elapsed,
     )
+
+
+def test_cohort_snapshot_script_summary():
+    # criterion 6's table, as the bundled script recomputes and prints it
+    proc = run_python(ROOT / "scripts" / "check_cohort_snapshot.py")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-3:] == [
+        "rows checked: 30; printed-integer mismatches beyond +-1: 0",
+        "flagged (R >= 40): 18; crossing rate among flagged: 94.4%",
+        "overall flag/crossing agreement: 90.0%",
+    ]
 
 
 def test_criterion_7_window_engine():

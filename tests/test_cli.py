@@ -5,8 +5,6 @@ import csv
 import json
 import os
 import re
-import subprocess
-import sys
 import weakref
 from operator import attrgetter
 from pathlib import Path
@@ -31,9 +29,7 @@ from citeineq import (
 from citeineq.cli import build_parser, main
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
-from helpers import CROSSING_WINDOW, make_profile
-
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import CROSSING_WINDOW, ROOT, make_profile, run_python
 
 
 def run(capsys, *argv):
@@ -98,8 +94,6 @@ class TestInProcessReuse:
             ["fit", str(self.SERIES), "--no-such-flag"],
             ["fit", str(self.SERIES)],
         ]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
         for i, argv in enumerate(commands):
             here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
             try:
@@ -107,8 +101,7 @@ class TestInProcessReuse:
             except SystemExit as exc:
                 code = exc.code
             captured = capsys.readouterr()
-            proc = subprocess.run([sys.executable, "-m", "citeineq.cli", *argv, "--out", str(fresh)],
-                                  env=env, capture_output=True, text=True, timeout=120)
+            proc = run_python("-m", "citeineq.cli", *argv, "--out", fresh)
             assert (code, captured.err) == (proc.returncode, proc.stderr), argv
             assert captured.out.replace(str(here), str(fresh)) == proc.stdout, argv
             files = sorted(p.relative_to(here) for p in here.rglob("*")) if here.exists() else []
@@ -137,10 +130,7 @@ class TestInProcessReuse:
             assert main(["analyze", profile, "--out", out + "/analyze"]) == 0
             assert "numpy" in sys.modules
         """
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script, str(self.SERIES), str(equal_profile_path), str(tmp_path)],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script, self.SERIES, equal_profile_path, tmp_path)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert all((tmp_path / name).is_dir() for name in ("fit", "plotdata", "analyze"))
 
@@ -203,6 +193,14 @@ class TestAnalyze:
         assert code == 1
         assert err == f"error: ValidationError: --out must be a directory, and {tmp_path / 'f'} is not one\n"
         assert (tmp_path / "f").read_text() == "kept\n"
+
+    def test_longest_output_names_leave_no_temp_file(self, tmp_path, capsys):
+        # the outputs' names take 249 and 251 of the 255 bytes a name may hold; their temp names must fit too
+        name = "a" * 238
+        profile = write_profile(make_profile({y: [3, 9] for y in range(2000, 2006)}), tmp_path / f"{name}.csv")
+        code, out, err = run(capsys, "analyze", profile, "--out", tmp_path / "out")
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [f"{name}_series.csv", f"{name}_summary.json"]
 
     def test_all_windows_skipped_is_computation_error(self, tmp_path, capsys):
         # publications 8 years apart never share a 5-year window
@@ -793,6 +791,51 @@ class TestLineBreakInMessage:
         assert err == f"error: ParseError: profile file not found: {tmp_path}/a\\nb.csv\n"
 
 
+class TestOneLineErrorInAFreshProcess:
+    """``python -m citeineq.cli`` exits with the code ``main`` returns, prints
+    one ``error:`` line, and writes nothing but the profiles of a batch that load."""
+
+    SERIES = "central_year,g,k,n_pubs,n_cites,skipped\n2000,1.5,0.7,5,50,\n"
+    MANIFEST = json.dumps([{"name": "ghost", "path": "ghost.csv"}, {"name": "ok", "path": "ok.csv"}])
+    OK = "pub_id,year,citations\n" + "".join(f"p{i},{2000 + i // 5},{1 + i % 7}\n" for i in range(60))
+    # id: (argv, with {d} for the directory; input files; exit code; start of the one stderr line)
+    CASES = {
+        "csv-row": (["analyze", "{d}/rows.csv"], {"rows.csv": "pub_id,year,citations\np1,2001,1\np2,1500,1\np3,x,1\n"},
+                    1, "error: ValidationError: line 3: "),
+        # a blank line, then a quoted id holding a line break, then the bad row on line 5
+        "csv-row-after-breaks": (["analyze", "{d}/breaks.csv"],
+                                 {"breaks.csv": 'pub_id,year,citations\n\n"a\nb",2001,1\np2,1500,1\n'},
+                                 1, "error: ValidationError: line 5: "),
+        "json-row": (["analyze", "{d}/rows.json"],
+                     {"rows.json": '{"schema_version": 1, "name": "J", "tags": [], "publications": '
+                                   '[{"id": "a", "year": 2001, "citations": 1}, 5]}\n'},
+                     1, "error: ParseError: publications[1] "),
+        # a line break in a path is escaped, so the error stays one line
+        "missing-profile": (["analyze", "{d}/line\nbreak.csv"], {},
+                            1, "error: ParseError: profile file not found: {d}/line\\nbreak.csv"),
+        "series-row": (["fit", "{d}/line\nbreak.csv"], {"line\nbreak.csv": SERIES},
+                       1, "error: ParseError: line 2: {d}/line\\nbreak.csv: "),
+        "missing-series": (["fit", "{d}/missing.csv"], {}, 1, "error: ParseError: series file not found: {d}/missing.csv"),
+        # a name load_profile would refuse
+        "synth-name": (["synth", "--name", ""], {}, 1, "error: BadSpec: "),
+        # a failing profile is one line, and the other profiles still make the tables
+        "batch-profile": (["batch", "{d}/manifest.json"], {"manifest.json": MANIFEST, "ok.csv": OK},
+                          3, "error: ParseError: profile 'ghost': "),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_code_and_one_stderr_line(self, tmp_path, case):
+        argv, files, code, start = self.CASES[case]
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "out"
+        proc = run_python("-m", "citeineq.cli", *(arg.format(d=tmp_path) for arg in argv), "--out", out)
+        assert proc.returncode == code
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.endswith("\n")
+        assert proc.stderr.startswith(start.format(d=tmp_path)), proc.stderr
+        assert (out / "cohort.csv").is_file() if argv[0] == "batch" else not out.exists()
+
+
 class TestSynthCommand:
     def test_writes_loadable_profile(self, tmp_path, capsys):
         out_file = tmp_path / "p.json"
@@ -846,16 +889,18 @@ class TestSynthCommand:
         # draws past the cap overflow to inf before the cap clips them; a fresh
         # interpreter shows the stderr a user sees, whatever pytest's warning filters
         out_file = tmp_path / "p.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        synth = subprocess.run(
-            [sys.executable, "-m", "citeineq.cli", "synth", "--model", "powerlaw",
-             "--exponent", "1.01", "--n-papers", "5000", "--out", str(out_file)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        synth = run_python("-m", "citeineq.cli", "synth", "--model", "powerlaw",
+                           "--exponent", "1.01", "--n-papers", "5000", "--out", out_file)
         assert (synth.returncode, synth.stderr) == (0, "")
         counts = load_profile(out_file).citations
         assert counts.max() == MAX_CITATIONS and counts.min() >= 1
+
+    def test_csv_and_json_profiles_of_1e5_papers_give_one_series(self, tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            assert run(capsys, "synth", "--n-papers", 100000, "--out", tmp_path / f"profile.{fmt}")[::2] == (0, "")
+            assert run(capsys, "analyze", tmp_path / f"profile.{fmt}", "--out", tmp_path / fmt)[::2] == (0, "")
+        series = (tmp_path / "json" / "powerlaw-n100000-seed0_series.csv").read_bytes()
+        assert (tmp_path / "csv" / "profile_series.csv").read_bytes() == series
 
     @pytest.mark.parametrize("name", ["", "J\udcff"], ids=["empty", "undecodable-argv-byte"])
     def test_name_load_profile_would_refuse_is_bad_spec(self, tmp_path, capsys, name):

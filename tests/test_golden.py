@@ -11,12 +11,10 @@ much, and why.
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from helpers import ROOT, run_python
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 #: Largest difference allowed between a float and its golden value.
@@ -110,13 +108,8 @@ def compare_file(rel: str, golden: Path, fresh: Path) -> list[str]:
 
 def test_demo_outputs_match_golden(tmp_path):
     out = tmp_path / "demo"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    demo = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "demo_cohort.py"), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert demo.returncode == 0, demo.stderr
+    demo = run_python(ROOT / "scripts" / "demo_cohort.py", "--out", out)
+    assert (demo.returncode, demo.stderr) == (0, "")
     want, have = output_files(GOLDEN), output_files(out)
     assert want == have, f"file sets differ: missing {sorted(set(want) - set(have))}, extra {sorted(set(have) - set(want))}"
     problems = [p for rel in want for p in compare_file(rel, GOLDEN / rel, out / rel)]
