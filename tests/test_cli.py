@@ -94,12 +94,14 @@ class TestInProcessReuse:
             ["fit", str(self.SERIES), "--no-such-flag"],
             ["fit", str(self.SERIES)],
         ]
+        codes = []
         for i, argv in enumerate(commands):
             here, fresh = tmp_path / "here" / str(i), tmp_path / "fresh" / str(i)
             try:
                 code = main([*argv, "--out", str(here)])
             except SystemExit as exc:
                 code = exc.code
+            codes.append(code)
             captured = capsys.readouterr()
             proc = run_python("-m", "citeineq.cli", *argv, "--out", fresh)
             assert (code, captured.err) == (proc.returncode, proc.stderr), argv
@@ -112,6 +114,7 @@ class TestInProcessReuse:
         def suffixes(i):
             return sorted(p.suffix for p in (tmp_path / "here" / str(i)).iterdir())
 
+        assert codes == [0, 0, 0, 0, 2, 0]
         assert (suffixes(0), suffixes(1)) == ([".csv", ".json", ".md"], [".csv", ".json"])
         assert not (tmp_path / "here" / "4").exists()
 
@@ -887,7 +890,7 @@ class TestSynthCommand:
 
     def test_exponent_near_one_prints_only_capped_counts(self, tmp_path):
         # draws past the cap overflow to inf before the cap clips them; a fresh
-        # interpreter shows the stderr a user sees, whatever pytest's warning filters
+        # interpreter's stderr holds any warning or message a user would see
         out_file = tmp_path / "p.csv"
         synth = run_python("-m", "citeineq.cli", "synth", "--model", "powerlaw",
                            "--exponent", "1.01", "--n-papers", "5000", "--out", out_file)
