@@ -23,10 +23,10 @@ from .ingest import (
     PROFILE_SUFFIXES,
     ManifestEntry,
     SynthSpec,
+    check_outputs,
     file_stem,
     load_manifest,
     load_profile,
-    refuse_existing,
     synth_profile,
     write_profile,
     write_text,
@@ -72,16 +72,6 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."), help="output directory")
 
 
-def _check_out_dir(directory: Path) -> None:
-    """``ValidationError`` unless ``directory`` is, or can be made, a directory:
-    it and its nearest existing ancestor must not be anything else."""
-    for part in (directory, *directory.parents):
-        if part.exists():
-            if not part.is_dir():
-                raise ValidationError(f"--out must be a directory, and {part} is not one")
-            return
-
-
 def _run_config(args: argparse.Namespace) -> tuple[WindowConfig, SocConfig]:
     window = WindowConfig(
         width_years=args.window_width,
@@ -100,12 +90,11 @@ def _profile_paths(name: str, directory: Path) -> list[Path]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     window, soc = _run_config(args)
-    _check_out_dir(args.out)
     profile = load_profile(args.profile)
     paths = _profile_paths(profile.name, args.out)
     if args.markdown:
         paths.append(args.out / f"{file_stem(profile.name)}_summary.md")
-    refuse_existing(paths)
+    check_outputs(paths)
     series, summary = analyze_profile(profile, window, soc)
     write_profile_files(series, summary, paths)
     if args.markdown:
@@ -116,22 +105,21 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    _check_out_dir(args.out)
+    path = args.out / f"{args.series.stem}_fit.json"
+    check_outputs([path])
     fit = fit_k_vs_g(read_series_csv(args.series).pairs())
-    stem = Path(args.series).stem
-    print(write_json(asdict(fit), args.out / f"{stem}_fit.json"))
+    print(write_json(asdict(fit), path))
     return EXIT_OK
 
 
 def _cmd_plotdata(args: argparse.Namespace) -> int:
     if not 0.0 <= args.soc_mark <= 1.0:  # also false for nan
         raise ValidationError(f"--soc-mark must be a finite value in [0, 1], got {args.soc_mark}")
-    _check_out_dir(args.out)
+    stem = args.series.stem
+    timepanel, inset = args.out / f"{stem}_timepanel.csv", args.out / f"{stem}_inset.csv"
+    check_outputs([timepanel, inset])
     series = read_series_csv(args.series)
     fit = fit_k_vs_g(series.pairs())
-    stem = Path(args.series).stem
-    timepanel, inset = args.out / f"{stem}_timepanel.csv", args.out / f"{stem}_inset.csv"
-    refuse_existing([timepanel, inset])
     print(write_text(timepanel_csv(series, args.soc_mark), timepanel))
     print(write_text(inset_csv(series, fit), inset))
     return EXIT_OK
@@ -148,7 +136,6 @@ def _analyze_entry(entry: ManifestEntry, window: WindowConfig,
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     window, soc = _run_config(args)
-    _check_out_dir(args.out / "profiles")
     entries = load_manifest(args.manifest)
     if not entries:
         raise ValidationError("manifest lists no profiles")
@@ -156,7 +143,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     cohort_paths = [args.out / "cohort.csv", args.out / "cohort.json"]
     if args.markdown:
         cohort_paths.append(args.out / "cohort.md")
-    refuse_existing(cohort_paths + [path for paths in profile_paths.values() for path in paths])
+    check_outputs(cohort_paths + [path for paths in profile_paths.values() for path in paths])
     batch = BatchResult(summaries=[], failures=[])
     for entry in entries:
         try:
@@ -196,7 +183,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     out = args.out
     if suffix not in PROFILE_SUFFIXES:
         out = out / f"{file_stem(profile.name)}.{args.fmt or 'csv'}"
-    _check_out_dir(out.parent)
+    check_outputs([out])
     print(write_profile(profile, out))
     return EXIT_OK
 

@@ -30,7 +30,8 @@ optional BOM; undecodable bytes raise ``ParseError``.
 This module also holds the package's one CSV reader (``csv_columns``), which
 reads profile and series CSVs, its CSV writer (``csv_text``) and its file
 writer (``write_text``), which every output goes through and which never
-replaces an existing file.
+replaces an existing file; every command first checks all its output paths
+with ``check_outputs``.
 """
 
 from __future__ import annotations
@@ -117,11 +118,22 @@ def _read_file(path: Path) -> str:
         raise _not_utf8(path, exc) from None
 
 
-def refuse_existing(paths) -> None:
-    """Raise ``ValidationError`` if any of ``paths`` exists: no output is replaced."""
+def check_outputs(paths) -> None:
+    """Raise ``ValidationError`` naming the first of ``paths`` that cannot be
+    written as a new file: one under a file, one that exists, or one whose name
+    is longer than its directory allows.  Each parent is looked up once."""
+    name_max: dict[str, int] = {}
     for path in paths:
+        parent, name = os.path.split(path)
+        if parent not in name_max:
+            ancestor = next(part for part in Path(path).parents if part.exists())
+            if not ancestor.is_dir():
+                raise ValidationError(f"--out must be a directory, and {ancestor} is not one")
+            name_max[parent] = os.pathconf(ancestor, "PC_NAME_MAX")
         if os.path.lexists(path):
             raise ValidationError(f"output file already exists: {path}")
+        if len(os.fsencode(name)) > name_max[parent]:
+            raise ValidationError(f"output file name is longer than {name_max[parent]} bytes: {path}")
 
 
 def write_text(text: str, path) -> Path:
@@ -133,7 +145,8 @@ def write_text(text: str, path) -> Path:
     is complete after a crash of this program, not of the machine.
     """
     path = Path(path)
-    refuse_existing([path])
+    if os.path.lexists(path):
+        raise ValidationError(f"output file already exists: {path}")
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name[:50]}.{os.getpid()}.tmp")
     fh = open(temp, "x", encoding="utf-8", newline="")  # a temp this call did not make is left alone

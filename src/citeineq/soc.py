@@ -111,8 +111,11 @@ def cites_per_paper(n_pubs: int, n_cites: int) -> float:
 
 
 def peak_ratio(max_citations: int, n_pubs: int, n_cites: int) -> float:
-    """Most-cited paper's citations over the citations-per-paper average."""
-    return max_citations / cites_per_paper(n_pubs, n_cites)
+    """Most-cited paper's citations over the citations-per-paper average,
+    rounded once: CPython rounds an int divided by an int correctly."""
+    if n_cites <= 0:
+        raise ZeroCitations("career has no citations")
+    return max_citations * n_pubs / n_cites
 
 
 def career_summary(

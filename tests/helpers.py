@@ -38,12 +38,12 @@ def run_python(*args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on ``args``, with the package from ``src/``, and
     return its exit code and text output.
 
-    A ``RuntimeWarning`` is an error there, as pytest's ``filterwarnings``
-    makes it here, so a warning fails the child and shows on its stderr.
+    Every warning is an error there, as pytest's ``filterwarnings`` makes it
+    here, so a warning fails the child and shows on its stderr.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    env["PYTHONWARNINGS"] = "error"
     return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
 
 

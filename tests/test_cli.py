@@ -138,6 +138,66 @@ class TestInProcessReuse:
         assert all((tmp_path / name).is_dir() for name in ("fit", "plotdata", "analyze"))
 
 
+OK_PROFILE = "pub_id,year,citations\n" + "".join(f"p{i},{2000 + i // 5},{1 + i % 7}\n" for i in range(60))
+
+# command: (a stem and one of its outputs under --out, a longer stem and its
+# first output whose name passes 255 bytes)
+OUTPUT_FAULT_COMMANDS = {
+    # the long stem's _series.csv takes 255 bytes and comes first; its _summary.json takes 257
+    "analyze": ("p", "p_summary.json", "a" * 244, "a" * 244 + "_summary.json"),
+    "fit": ("s", "s_fit.json", "s" * 247, "s" * 247 + "_fit.json"),
+    # _timepanel.csv comes first, and the long stem's _inset.csv would fit
+    "plotdata": ("s", "s_inset.csv", "s" * 244, "s" * 244 + "_timepanel.csv"),
+    # the profile ok comes first in the manifest, and its two files fit
+    "batch": ("p", "profiles/p_summary.json", "b" * 250, "profiles/" + "b" * 250 + "_series.csv"),
+    "synth": ("p", "p.csv", "n" * 252, "n" * 252 + ".csv"),
+}
+
+
+def _output_argv(tmp_path, command, stem) -> list:
+    """``command`` and its inputs, written under ``tmp_path / "in"``, for outputs named from ``stem``."""
+    inputs = tmp_path / "in"
+    inputs.mkdir(exist_ok=True)
+    if command == "synth":
+        return ["synth", "--n-papers", "20", "--name", stem]
+    source = inputs / f"{stem}.csv"
+    if command in ("fit", "plotdata"):
+        source.write_bytes(TestInProcessReuse.SERIES.read_bytes())
+        return [command, source]
+    source.write_text(OK_PROFILE)
+    if command == "analyze":
+        return [command, source]
+    (inputs / "ok.csv").write_text(OK_PROFILE)
+    manifest = inputs / "manifest.json"
+    manifest.write_text(json.dumps([{"name": "ok", "path": "ok.csv"}, {"name": stem, "path": source.name}]))
+    return [command, manifest]
+
+
+def _tree(root) -> dict:
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
+@pytest.mark.parametrize("fault", ["out-is-a-file", "out-under-a-file", "exists", "name-too-long"])
+def test_output_fault_is_one_line_validation_error_before_any_write(tmp_path, capsys, fault, command):
+    stem, output, long_stem, long_output = OUTPUT_FAULT_COMMANDS[command]
+    argv = _output_argv(tmp_path, command, long_stem if fault == "name-too-long" else stem)
+    out = tmp_path / "out"
+    if fault == "name-too-long":
+        expected = f"output file name is longer than 255 bytes: {out / long_output}"
+    elif fault == "exists":
+        (out / output).parent.mkdir(parents=True)
+        (out / output).write_text("kept\n")
+        expected = f"output file already exists: {out / output}"
+    else:
+        (tmp_path / "f").write_text("kept\n")
+        out = tmp_path / ("f" if fault == "out-is-a-file" else "f/sub")
+        expected = f"--out must be a directory, and {tmp_path / 'f'} is not one"
+    before = _tree(tmp_path)
+    assert run(capsys, *argv, "--out", out) == (1, "", f"error: ValidationError: {expected}\n")
+    assert _tree(tmp_path) == before
+
+
 class TestAnalyze:
     def test_equal_profile_series(self, tmp_path, equal_profile_path, capsys):
         out_dir = tmp_path / "out"
@@ -188,14 +248,6 @@ class TestAnalyze:
         assert err.startswith("error: ValidationError: output file already exists:") and "flat_summary.md" in err
         assert [p.name for p in out_dir.iterdir()] == ["flat_summary.md"]
         assert (out_dir / "flat_summary.md").read_text() == "kept\n"
-
-    @pytest.mark.parametrize("out", ["f", "f/sub"])
-    def test_out_under_a_file_is_one_line_validation_error(self, tmp_path, equal_profile_path, capsys, out):
-        (tmp_path / "f").write_text("kept\n")
-        code, stdout, err = run(capsys, "analyze", equal_profile_path, "--out", tmp_path / out)
-        assert code == 1
-        assert err == f"error: ValidationError: --out must be a directory, and {tmp_path / 'f'} is not one\n"
-        assert (tmp_path / "f").read_text() == "kept\n"
 
     def test_longest_output_names_leave_no_temp_file(self, tmp_path, capsys):
         # the outputs' names take 249 and 251 of the 255 bytes a name may hold; their temp names must fit too
@@ -325,14 +377,6 @@ class TestFit:
         assert err.startswith("error: ValidationError: output file already exists:") and err.count("\n") == 1
         assert (out_dir / "series_fit.json").read_bytes() == written
         assert [p.name for p in out_dir.iterdir()] == ["series_fit.json"]
-
-    @pytest.mark.parametrize("out", ["f", "f/sub"])
-    def test_out_under_a_file_is_one_line_validation_error(self, tmp_path, capsys, out):
-        (tmp_path / "f").write_text("kept\n")
-        code, stdout, err = run(capsys, "fit", self.make_series(tmp_path), "--out", tmp_path / out)
-        assert code == 1
-        assert err == f"error: ValidationError: --out must be a directory, and {tmp_path / 'f'} is not one\n"
-        assert (tmp_path / "f").read_text() == "kept\n"
 
     def test_one_row_series_fails(self, tmp_path, capsys):
         path = self.make_series(tmp_path, n=1)

@@ -1,5 +1,7 @@
 """Crossing classification, career summaries, and the peak-ratio indicator."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from citeineq import (
     peak_ratio,
     window_series,
 )
+from citeineq.profiles import MAX_CITATIONS
 from helpers import CROSSING_WINDOW, fraction_pair, make_profile, series_from_pairs
 
 CLASS_RANK = {"No": 0, "Marginally": 1, "Yes": 2}
@@ -175,6 +178,13 @@ class TestPeakRatioArithmetic:
     def test_zero_citations(self):
         with pytest.raises(ZeroCitations):
             cites_per_paper(10, 0)
+        with pytest.raises(ZeroCitations):
+            peak_ratio(0, 10, 0)
+
+    @given(st.integers(0, MAX_CITATIONS), st.integers(1, 10**7), st.integers(1, 10**16))
+    def test_peak_ratio_is_rounded_once(self, max_citations, n_pubs, n_cites):
+        expected = float(Fraction(max_citations * n_pubs, n_cites))
+        assert peak_ratio(max_citations, n_pubs, n_cites) == expected
 
 
 class TestHirschSqrtDiagnostic:
