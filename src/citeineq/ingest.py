@@ -120,16 +120,23 @@ def _read_file(path: Path) -> str:
 
 def check_outputs(paths) -> None:
     """Raise ``ValidationError`` naming the first of ``paths`` that cannot be
-    written as a new file: one under a file, one that exists, or one whose name
-    is longer than its directory allows.  Each parent is looked up once."""
+    written as a new file: one under a file, one that exists, or one whose name,
+    or the name of a directory it would need, is longer than the nearest
+    existing directory allows.  Each parent is looked up once."""
     name_max: dict[str, int] = {}
     for path in paths:
         parent, name = os.path.split(path)
         if parent not in name_max:
-            ancestor = next(part for part in Path(path).parents if part.exists())
+            # os.path.exists, unlike Path.exists, is False for an over-long name
+            ancestor = next(part for part in Path(path).parents if os.path.exists(part))
             if not ancestor.is_dir():
                 raise ValidationError(f"--out must be a directory, and {ancestor} is not one")
-            name_max[parent] = os.pathconf(ancestor, "PC_NAME_MAX")
+            limit = name_max[parent] = os.pathconf(ancestor, "PC_NAME_MAX")
+            below = ancestor
+            for part in Path(parent).relative_to(ancestor).parts:  # the directories to be made
+                below /= part
+                if len(os.fsencode(part)) > limit:
+                    raise ValidationError(f"output directory name is longer than {limit} bytes: {below}")
         if os.path.lexists(path):
             raise ValidationError(f"output file already exists: {path}")
         if len(os.fsencode(name)) > name_max[parent]:

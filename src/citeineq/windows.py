@@ -9,6 +9,7 @@ other window is kept as a skipped entry so the time axis stays contiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
@@ -19,6 +20,7 @@ from .profiles import MAX_YEAR, MIN_YEAR, ResearcherProfile
 SKIP_NO_PUBS = "no_publications"
 SKIP_TOO_FEW = "too_few_publications"
 SKIP_ZERO_CITES = "zero_citations"
+SKIP_REASONS = (SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES)
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,9 @@ class WindowConfig:
 class WindowEntry:
     """One window of the series, validated on construction.
 
-    A window is skipped when it has a reason, and then its g and k are None;
-    otherwise both g and k lie in [0, 1].
+    A window is skipped when it has a reason, one of ``SKIP_REASONS``, and
+    then its g and k are None; otherwise both g and k lie in [0, 1].  Its
+    counts are not negative.
     """
 
     central_year: int
@@ -58,7 +61,11 @@ class WindowEntry:
     reason: str | None = None
 
     def __post_init__(self):
+        if self.n_pubs < 0 or self.n_cites < 0:
+            raise ValidationError(f"n_pubs and n_cites must not be negative, got {self.n_pubs}, {self.n_cites}")
         if self.reason is not None:
+            if self.reason not in SKIP_REASONS:
+                raise ValidationError(f"skip reason must be one of {', '.join(SKIP_REASONS)}, got {self.reason!r}")
             if self.g is not None or self.k is not None:
                 raise ValidationError("skipped row has g or k")
         elif self.g is None or self.k is None:
@@ -98,7 +105,8 @@ class IndexSeries:
 
 @dataclass(frozen=True)
 class YearlyAverage:
-    """Mean and population standard deviation of g and k over valid windows."""
+    """Mean and population standard deviation of g and k over valid windows,
+    each the double nearest its exact value."""
 
     mean_g: float
     sd_g: float
@@ -150,6 +158,9 @@ def window_series(profile: ResearcherProfile, config: WindowConfig = WindowConfi
 def yearly_average(series: IndexSeries) -> YearlyAverage:
     """Mean +- population sd of g and k over the non-skipped entries.
 
+    Each is computed exactly in integers and rounded once, so it does not
+    depend on the order of the entries or on numpy's summation.
+
     Raises
     ------
     AllSkipped
@@ -158,12 +169,26 @@ def yearly_average(series: IndexSeries) -> YearlyAverage:
     valid = series.valid_entries()
     if not valid:
         raise AllSkipped("every window in the series was skipped")
-    g = np.array([e.g for e in valid])
-    k = np.array([e.k for e in valid])
-    return YearlyAverage(
-        mean_g=float(np.mean(g)),
-        sd_g=float(np.std(g)),
-        mean_k=float(np.mean(k)),
-        sd_k=float(np.std(k)),
-        n_windows=len(valid),
-    )
+    mean_g, sd_g = _mean_sd([e.g for e in valid])
+    mean_k, sd_k = _mean_sd([e.k for e in valid])
+    return YearlyAverage(mean_g, sd_g, mean_k, sd_k, len(valid))
+
+
+def _mean_sd(xs: list[float]) -> tuple[float, float]:
+    """The doubles nearest the mean and the population sd of ``xs``.
+
+    Each double is an integer over a power of two, so every sum is an exact int."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    n, total = len(ints), sum(ints)
+    # variance = (n * sum(i^2) - total^2) / (n * scale)^2
+    return total / (n * scale), _sqrt_ratio(n * sum(i * i for i in ints) - total * total, (n * scale) ** 2)
+
+
+def _sqrt_ratio(p: int, q: int) -> float:
+    """The double nearest sqrt(p / q), for ints p >= 0 and q > 0: the root is
+    rounded to odd at 2 * 53 + 3 bits or more, then once to a double."""
+    s = max(0, (q.bit_length() - p.bit_length() + 109) // 2 + 1)
+    root = math.isqrt((p << 2 * s) // q)
+    return (root | (root * root * q != p << 2 * s)) / (1 << s)

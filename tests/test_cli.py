@@ -178,13 +178,20 @@ def _tree(root) -> dict:
 
 
 @pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
-@pytest.mark.parametrize("fault", ["out-is-a-file", "out-under-a-file", "exists", "name-too-long"])
+@pytest.mark.parametrize(
+    "fault", ["out-is-a-file", "out-under-a-file", "exists", "name-too-long", "new-dir-too-long", "dir-too-long"])
 def test_output_fault_is_one_line_validation_error_before_any_write(tmp_path, capsys, fault, command):
     stem, output, long_stem, long_output = OUTPUT_FAULT_COMMANDS[command]
     argv = _output_argv(tmp_path, command, long_stem if fault == "name-too-long" else stem)
     out = tmp_path / "out"
     if fault == "name-too-long":
         expected = f"output file name is longer than 255 bytes: {out / long_output}"
+    elif fault == "new-dir-too-long":  # --out under a missing directory ok
+        out = tmp_path / "ok" / ("d" * 300)
+        expected = f"output directory name is longer than 255 bytes: {out}"
+    elif fault == "dir-too-long":  # --out under a missing directory whose name is too long
+        out = tmp_path / ("d" * 300) / "x"
+        expected = f"output directory name is longer than 255 bytes: {out.parent}"
     elif fault == "exists":
         (out / output).parent.mkdir(parents=True)
         (out / output).write_text("kept\n")
@@ -418,16 +425,21 @@ def test_series_csv_round_trip_is_exact(entries):
 
 @pytest.mark.parametrize("command", ["fit", "plotdata"])
 def test_skipped_series_row_with_g_or_k_is_input_error(tmp_path, capsys, command):
+    # and the other rows that analyze never writes
     lines = ["central_year,g,k,n_pubs,n_cites,skipped"]
     lines += [f"{2000 + i},0.{50 + i},0.{70 + i},5,50," for i in range(5)]
-    lines.append("2005,0.5,0.6,3,9,zero_citations")
     series_path = tmp_path / "s.csv"
-    series_path.write_text("\n".join(lines) + "\n")
     out_dir = tmp_path / "out"
-    code, out, err = run(capsys, command, series_path, "--out", out_dir)
-    assert code == 1
-    assert err.startswith("error: ParseError: line 7:") and "skipped row has g or k" in err
-    assert not out_dir.exists()
+    for row, message in [
+        ("2005,0.5,0.6,3,9,zero_citations", "skipped row has g or k"),
+        ("2005,0.5,0.7,-3,-9,", "n_pubs and n_cites must not be negative, got -3, -9"),
+        ("2005,,,5,5,banana", "skip reason must be one of no_publications, too_few_publications, "
+                              "zero_citations, got 'banana'"),
+    ]:
+        series_path.write_text("\n".join(lines + [row]) + "\n")
+        code, out, err = run(capsys, command, series_path, "--out", out_dir)
+        assert (code, out, err) == (1, "", f"error: ParseError: line 7: {series_path}: {message}\n")
+        assert not out_dir.exists()
 
 
 def test_series_with_utf8_bom_accepted(tmp_path, capsys):

@@ -44,14 +44,14 @@ class TestGini:
         assert index_pair([5, 5, 5, 5]).g == 0.0
 
     def test_single_spike(self):
-        assert index_pair([0, 0, 0, 10]).g == pytest.approx(0.75, abs=1e-15)
+        assert index_pair([0, 0, 0, 10]).g == 0.75
 
     def test_hand_case(self):
-        assert index_pair([1, 2, 3, 4]).g == pytest.approx(0.25, abs=1e-15)
+        assert index_pair([1, 2, 3, 4]).g == 0.25
 
     @given(count_vectors)
     def test_matches_pairwise_oracle(self, counts):
-        assert index_pair(counts).g == pytest.approx(gini_pairwise(counts), abs=1e-12)
+        assert index_pair(counts).g == gini_pairwise(counts)
 
     @given(count_vectors)
     def test_bounds(self, counts):
@@ -63,10 +63,10 @@ class TestKolkata:
         assert index_pair([5, 5, 5, 5]).k == 0.5
 
     def test_single_spike(self):
-        assert index_pair([0, 0, 0, 10]).k == pytest.approx(0.8, abs=1e-12)
+        assert index_pair([0, 0, 0, 10]).k == 0.8
 
     def test_hand_case(self):
-        assert index_pair([1, 2, 3, 4]).k == pytest.approx(13 / 22, abs=1e-12)
+        assert index_pair([1, 2, 3, 4]).k == 13 / 22
 
     @given(count_vectors)
     def test_fixed_point_residual(self, counts):
@@ -76,9 +76,7 @@ class TestKolkata:
 
     @given(st.integers(1, 150), st.integers(1, 10**5))
     def test_equality_maps_to_half(self, n, value):
-        g, k = index_pair([value] * n)
-        assert abs(g) <= 1e-12
-        assert abs(k - 0.5) <= 1e-12
+        assert index_pair([value] * n) == (0.0, 0.5)
 
     @given(count_vectors)
     def test_unequal_maps_above_half(self, counts):
@@ -193,10 +191,7 @@ class TestInvariances:
 
     @given(count_vectors, st.integers(1, 10))
     def test_replication_invariance(self, counts, m):
-        g0, k0 = index_pair(counts)
-        g1, k1 = index_pair(list(counts) * m)
-        assert g1 == pytest.approx(g0, abs=1e-12)
-        assert k1 == pytest.approx(k0, abs=1e-12)
+        assert index_pair(list(counts) * m) == index_pair(counts)
 
     @given(
         st.lists(st.integers(0, 10**5), min_size=2, max_size=200).filter(any),
@@ -214,5 +209,5 @@ class TestInvariances:
         x[i] -= 1
         x[j] += 1
         g1, k1 = index_pair(x)
-        assert g1 >= g0 - 1e-12
-        assert k1 >= k0 - 1e-12
+        assert g1 > g0
+        assert k1 >= k0  # k stays where the transfer leaves L(k)

@@ -36,7 +36,7 @@ class TestYearsAscend:
 
     def test_the_line_counts_line_breaks_inside_quoted_cells(self):
         # a blank line, then a skipped row whose quoted reason holds a line break
-        above = HEADER + '\n2000,,,0,0,"no_pubs\n"\n'
+        above = HEADER + '\n2000,,,0,0,"no_publications\n"\n'
         with pytest.raises(ParseError, match=r"^line 5: <series>: g and k must lie in \[0, 1\], got 0.5, 1.7$"):
             series_from_csv(above + "2001,0.5,1.7,5,50,\n")
         with pytest.raises(ParseError, match="^line 6: <series>: central_year must ascend, but 2000 follows 2001$"):
@@ -44,7 +44,7 @@ class TestYearsAscend:
 
     def test_text_with_cr_line_ends_reads_like_a_file(self):
         # series text is read with the line ends of a file opened with newline=""
-        text = HEADER + "2001,0.5,0.7,5,50,\n\n2002,,,0,0,no_pubs\n"
+        text = HEADER + "2001,0.5,0.7,5,50,\n\n2002,,,0,0,no_publications\n"
         assert series_from_csv(text.replace("\n", "\r")) == series_from_csv(text)
 
     @pytest.mark.parametrize("command", ["fit", "plotdata"])

@@ -23,6 +23,7 @@ from citeineq import (
     window_series,
 )
 from citeineq.profiles import MAX_CITATIONS
+from citeineq.windows import SKIP_TOO_FEW
 from helpers import CROSSING_WINDOW, fraction_pair, make_profile, series_from_pairs
 
 CLASS_RANK = {"No": 0, "Marginally": 1, "Yes": 2}
@@ -54,7 +55,7 @@ class TestClassifyCrossing:
         assert result.min_gap == pytest.approx(0.12)
 
     def test_all_skipped(self):
-        series = IndexSeries(entries=[WindowEntry(2000, None, None, 1, 3, "too_few")])
+        series = IndexSeries(entries=[WindowEntry(2000, None, None, 1, 3, SKIP_TOO_FEW)])
         with pytest.raises(AllSkipped):
             classify_crossing(series)
 

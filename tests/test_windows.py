@@ -1,10 +1,15 @@
 """Sliding-window series construction and yearly averages."""
 
+import json
+import math
 from dataclasses import fields
+from fractions import Fraction
+from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citeineq import (
@@ -20,6 +25,7 @@ from citeineq import (
     window_series,
     yearly_average,
 )
+from citeineq.report import read_series_csv
 from citeineq.windows import SKIP_NO_PUBS
 from helpers import citations_in, fraction_pair, make_profile, profile_of, series_from_pairs
 
@@ -87,11 +93,22 @@ class TestWindowSeries:
             (float("nan"), 0.6, None, "must lie in"),
             (0.5, 1.5, None, "must lie in"),
             (-0.25, 0.6, None, "must lie in"),
+            (None, None, "banana", "^skip reason must be one of no_publications, too_few_publications, "
+                                   "zero_citations, got 'banana'$"),
+            (None, None, "too_few", "skip reason must be one of"),
+            (None, None, "", "skip reason must be one of"),
         ],
     )
     def test_entry_rules_checked_on_construction(self, g, k, reason, message):
         with pytest.raises(ValidationError, match=message):
             WindowEntry(2000, g, k, 3, 9, reason)
+
+    @pytest.mark.parametrize("reason", [None, SKIP_NO_PUBS])
+    @pytest.mark.parametrize("n_pubs, n_cites", [(-3, -9), (-1, 0), (0, -1)])
+    def test_negative_counts_refused_on_construction(self, n_pubs, n_cites, reason):
+        g = k = None if reason else 0.5
+        with pytest.raises(ValidationError, match=f"^n_pubs and n_cites must not be negative, got {n_pubs}, {n_cites}$"):
+            WindowEntry(2000, g, k, n_pubs, n_cites, reason)
 
     def test_no_windows(self):
         profile = make_profile({2021: [4, 5]})
@@ -209,19 +226,60 @@ class TestWindowSeries:
             assert (e.g, e.k) == fraction_pair(window)
 
 
+GOLDEN_PROFILES = Path(__file__).resolve().parent / "golden" / "profiles"
+unit_floats = st.floats(0.0, 1.0)
+
+
+def exact_mean_variance(xs) -> tuple[Fraction, Fraction]:
+    """The mean and population variance of ``xs`` as Fractions."""
+    values = [Fraction(x) for x in xs]
+    mean = sum(values) / len(values)
+    return mean, sum((v - mean) ** 2 for v in values) / len(values)
+
+
+def is_nearest_root(sd: float, variance: Fraction) -> bool:
+    """Whether ``sd`` is a double nearest sqrt(variance): the variance lies
+    between the squares of the midpoints from ``sd`` to its two neighbours."""
+    below = max(Fraction(0), (Fraction(math.nextafter(sd, -1)) + Fraction(sd)) / 2)
+    above = (Fraction(sd) + Fraction(math.nextafter(sd, 2))) / 2
+    return below**2 <= variance <= above**2
+
+
+def assert_exactly_rounded(mean_g, sd_g, mean_k, sd_k, pairs):
+    for mean, sd, xs in ((mean_g, sd_g, [g for g, _ in pairs]), (mean_k, sd_k, [k for _, k in pairs])):
+        exact_mean, variance = exact_mean_variance(xs)
+        assert mean == float(exact_mean)
+        assert is_nearest_root(sd, variance), (sd, variance)
+
+
 class TestYearlyAverage:
     def test_constant_series(self):
         series = series_from_pairs([(0.7, 0.78)] * 5)
         avg = yearly_average(series)
-        assert (avg.mean_g, avg.sd_g) == (pytest.approx(0.7), pytest.approx(0.0, abs=1e-15))
-        assert (avg.mean_k, avg.sd_k) == (pytest.approx(0.78), pytest.approx(0.0, abs=1e-15))
+        assert (avg.mean_g, avg.sd_g, avg.mean_k, avg.sd_k) == (0.7, 0.0, 0.78, 0.0)
         assert avg.n_windows == 5
 
     def test_two_point_population_sd(self):
         series = series_from_pairs([(0.6, 0.7), (0.8, 0.9)])
         avg = yearly_average(series)
-        assert avg.mean_g == pytest.approx(0.7)
-        assert avg.sd_g == pytest.approx(0.1)
+        assert avg.mean_g == float((Fraction(0.6) + Fraction(0.8)) / 2)
+        # the exact sd (0.8 - 0.6) / 2 is a double
+        assert avg.sd_g == float((Fraction(0.8) - Fraction(0.6)) / 2) == (0.8 - 0.6) / 2
+
+    @given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=40))
+    @example([(0.15, 0.85), (0.7, 0.04)])  # numpy misses g's mean or sd; math.sqrt of the rounded variance, k's sd
+    @example([(0.94, 0.5), (0.64, 0.5), (0.58, 0.5)])  # math.fsum(xs) / n misses g's mean
+    @example([(0.0, 1.0), (5e-324, 0.0)])  # g's mean and sd are ties, rounded to even
+    def test_mean_and_sd_are_exactly_rounded(self, pairs):
+        avg = yearly_average(series_from_pairs(pairs))
+        assert_exactly_rounded(avg.mean_g, avg.sd_g, avg.mean_k, avg.sd_k, pairs)
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN_PROFILES.glob("*_summary.json")), ids=attrgetter("stem"))
+    def test_golden_summaries_hold_the_exact_values(self, path):
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        pairs = read_series_csv(path.with_name(path.name.replace("_summary.json", "_series.csv"))).pairs()
+        assert summary["n_windows"] == len(pairs)
+        assert_exactly_rounded(*(summary[f"{i}_yearly_{s}"] for i in "gk" for s in ("mean", "sd")), pairs)
 
     def test_all_skipped(self):
         profile = make_profile({2000: [5], 2001: [5]})
