@@ -9,13 +9,15 @@ Two on-disk profile formats are accepted:
 
 Either format is read as columns, which go straight to
 ``ResearcherProfile``; it checks the row rules once over each whole column.
-No per-row object is built for a valid file.  A CSV file is read by the one
-``csv.reader`` loop, ``csv_columns``, which appends each row's cells to the
-header's columns and keeps no line number per row; the year and citations
-columns then become int64 arrays, at one ``int`` per cell, or else are read
-again by ``_parse_cells``, the one statement of an integer cell.  A row the
-profile refuses comes back with its index, reported as its JSON
-``publications`` index or as its CSV line, which is worked out only then.
+No per-row object is built for a valid file.  A CSV file is read whole,
+with its line ends as written, and then by the one ``csv.reader`` loop,
+``csv_columns``, which appends each row's cells to the header's columns and
+keeps no line number per row; the year and citations columns then become
+int64 arrays, at one ``int`` per cell, or else are read again by
+``_parse_cells``, the one statement of an integer cell.  A row the profile
+refuses comes back with its index, reported as its JSON ``publications``
+index or as its CSV line: ``csv.reader``'s own line count at that row,
+which a second reader over the text gives only then.
 A fault in the file's structure (a CSV cell that is not an integer, a
 malformed CSV row, a JSON record without the three keys) is reported only
 when the rows above it keep the row rules; within a row, a CSV cell that is
@@ -42,9 +44,8 @@ import json
 import math
 import os
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -82,10 +83,6 @@ def _profile_format(path: Path) -> str:
     return suffix
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ParseError:
-    return ParseError(f"not UTF-8 text ({exc.reason}): {path}")
-
-
 def _has_surrogate(text: str) -> bool:
     """Whether ``text`` holds a surrogate, as an undecodable file-name or argv
     byte gives; such text cannot be written as UTF-8."""
@@ -101,21 +98,23 @@ def _input_file(path, what: str) -> Path:
     return path
 
 
-def read_text(path, what: str) -> str:
-    """Read a whole UTF-8 file, dropping a leading BOM.
+def read_text(path, what: str, newline: str | None = None) -> str:
+    """Read a whole UTF-8 file, dropping a leading BOM; ``newline`` is as for
+    ``open``, and ``""`` keeps every line end as written.
 
     A path that is not a regular file, or undecodable bytes, raise
     ``ParseError`` naming ``what``.
     """
-    return _read_file(_input_file(path, what))
+    return _read_file(_input_file(path, what), newline)
 
 
-def _read_file(path: Path) -> str:
+def _read_file(path: Path, newline: str | None = None) -> str:
     """``read_text`` of a path already known to be a regular file."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
+            return fh.read()
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise ParseError(f"not UTF-8 text ({exc.reason}): {path}") from None
 
 
 def check_outputs(paths) -> None:
@@ -183,27 +182,24 @@ def _parse_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def csv_columns(lines, header: list[str]):
+def csv_columns(text: str, header: list[str]):
     """Read the CSV rows after ``header`` into one list of cells per header cell.
 
-    ``lines`` is a text file opened with ``newline=""``, or
-    ``io.StringIO(text, newline="")``, so that a line ends at ``\\r\\n``, a
-    lone ``\\r`` or a lone ``\\n``.  The first row must be exactly ``header``;
-    blank lines are skipped.  Returns ``(columns, line, error)``:
+    ``text`` is the whole file, read untranslated (``newline=""``), so that a
+    line ends at ``\\r\\n``, a lone ``\\r`` or a lone ``\\n`` and a quoted cell
+    keeps its line breaks as written.  The first row must be exactly
+    ``header``; blank lines are skipped.  Returns ``(columns, line, error)``:
 
-    * ``line(row)`` is the line on which the row with index ``row`` ends.  No
-      line number is kept per row: it is worked out when asked, from the
-      blank lines above the row and the line breaks inside its cells and
-      those of the rows above it (only a quoted cell holds one).
+    * ``line(row)`` is ``csv.reader``'s ``line_num`` after the row with index
+      ``row``: the line it ends on.  No line number is kept per row; the call
+      reads ``text`` again up to that row, so only error paths make it.
     * ``error`` is the ``ParseError`` of a wrong header, of a row without
       ``len(header)`` cells or of malformed CSV, which ends the read; the
       caller raises it only after the rows above it.  Else it is None.
-
-    Undecodable bytes raise ``UnicodeDecodeError`` while the rows stream in.
     """
     width = len(header)
-    cells, blanks, error = [], [], None
-    reader = csv.reader(lines)
+    cells, error = [], None
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         first = next(reader, [])
         if first != header:
@@ -216,17 +212,15 @@ def csv_columns(lines, header: list[str]):
                 elif row:
                     error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
                     break
-                else:
-                    blanks.append(len(cells) // width)  # the index of the row below the blank line
     except csv.Error as exc:
         error = ParseError(str(exc), line=reader.line_num)
     columns = [cells[i::width] for i in range(width)]
     del cells
 
     def line(row: int) -> int:
-        text = "\0".join(chain.from_iterable(column[: row + 1] for column in columns))
-        breaks = text.count("\n") + text.count("\r") - text.count("\r\n")
-        return 2 + row + bisect_right(blanks, row) + breaks
+        again = csv.reader(io.StringIO(text, newline=""))
+        next(islice(filter(None, again), row + 1, None))  # the header, then rows 0 to row
+        return again.line_num
 
     return columns, line, error
 
@@ -252,11 +246,7 @@ def _load_csv(path: Path) -> ResearcherProfile:
     """A CSV profile named by its stem; ``_parse_cells`` reads columns the int64 screen refuses."""
     if _has_surrogate(path.stem):  # the stem names the profile, which is written out as UTF-8
         raise ParseError(f"profile file name is not UTF-8: {path}")
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            columns, line, error = csv_columns(fh, CSV_HEADER)
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    columns, line, error = csv_columns(_read_file(path, newline=""), CSV_HEADER)
     ids, years, citations = columns
     try:
         counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in (years, citations)]

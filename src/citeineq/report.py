@@ -8,7 +8,6 @@ inputs; rounding to 2 decimals happens only in the Markdown rendering.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ def series_to_csv(series: IndexSeries) -> str:
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
     """Parse series CSV text; ``WindowEntry`` checks each row's values, and
     ``IndexSeries`` then checks that the central years ascend."""
-    columns, line, error = csv_columns(io.StringIO(text, newline=""), SERIES_COLUMNS)
+    columns, line, error = csv_columns(text, SERIES_COLUMNS)
     entries = []
     for row, cells in enumerate(zip(*columns)):
         year, g, k, n_pubs, n_cites, reason = map(str.strip, cells)
@@ -57,7 +56,7 @@ def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
 
 
 def read_series_csv(path) -> IndexSeries:
-    return series_from_csv(read_text(path, "series"), source=str(path))
+    return series_from_csv(read_text(path, "series", newline=""), source=str(path))
 
 
 # --- career summary --------------------------------------------------------

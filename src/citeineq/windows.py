@@ -22,6 +22,15 @@ SKIP_TOO_FEW = "too_few_publications"
 SKIP_ZERO_CITES = "zero_citations"
 SKIP_REASONS = (SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES)
 
+#: The (n_pubs > 0, n_cites > 0) that ``window_series`` gives a window with
+#: each skip reason, or with none, and the rule that states them.
+_COUNT_RULES = {
+    None: ({(True, True)}, "n_pubs > 0 and n_cites > 0"),
+    SKIP_NO_PUBS: ({(False, False)}, "n_pubs = 0 and n_cites = 0"),
+    SKIP_TOO_FEW: ({(True, True), (True, False)}, "n_pubs > 0"),
+    SKIP_ZERO_CITES: ({(True, False)}, "n_pubs > 0 and n_cites = 0"),
+}
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -50,7 +59,10 @@ class WindowEntry:
 
     A window is skipped when it has a reason, one of ``SKIP_REASONS``, and
     then its g and k are None; otherwise both g and k lie in [0, 1].  Its
-    counts are not negative.
+    counts are not negative, and they fit the reason as ``window_series``
+    gives them: a window has papers unless it is skipped for
+    ``no_publications``, and then no citations; ``zero_citations`` has no
+    citations, and a window that is not skipped has some.
     """
 
     central_year: int
@@ -72,6 +84,10 @@ class WindowEntry:
             raise ValidationError("non-skipped row missing g or k")
         elif not (0.0 <= self.g <= 1.0 and 0.0 <= self.k <= 1.0):  # also false for nan
             raise ValidationError(f"g and k must lie in [0, 1], got {self.g!r}, {self.k!r}")
+        signs, rule = _COUNT_RULES[self.reason]
+        if (self.n_pubs > 0, self.n_cites > 0) not in signs:
+            raise ValidationError(
+                f"{self.reason or 'non-skipped'} row needs {rule}, got {self.n_pubs}, {self.n_cites}")
 
     @property
     def skipped(self) -> bool:

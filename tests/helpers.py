@@ -1,6 +1,7 @@
 """Shared oracles and builders for the test suite."""
 
 import csv
+import io
 import os
 import subprocess
 import sys
@@ -34,9 +35,9 @@ CROSSING_WINDOW = (
 )
 
 
-def run_python(*args) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter on ``args``, with the package from ``src/``, and
-    return its exit code and text output.
+def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` in the directory ``cwd``, with the
+    package from ``src/``, and return its exit code and text output.
 
     Every warning is an error there, as pytest's ``filterwarnings`` makes it
     here, so a warning fails the child and shows on its stderr.
@@ -44,7 +45,8 @@ def run_python(*args) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error"
-    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def gini_pairwise(counts) -> float:
@@ -152,11 +154,12 @@ def row_by_row_load(path) -> tuple[str, list[str], list[tuple[str, int, int]]]:
     """
     path = Path(path)
     if path.suffix.lower() == ".csv":
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            try:
-                pubs = list(_row_by_row_csv(fh))
-            except UnicodeDecodeError as exc:
-                raise ingest._not_utf8(path, exc) from None
+        try:
+            with open(path, encoding="utf-8-sig", newline="") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason}): {path}") from None
+        pubs = list(_row_by_row_csv(io.StringIO(text, newline="")))
         name, tags = path.stem, []
     else:
         name, tags, pubs = _row_by_row_json(path)

@@ -410,10 +410,13 @@ def test_series_g_outside_unit_interval_is_input_error(tmp_path, capsys, command
 years = st.integers(1800, 2100)
 unit_floats = st.floats(0.0, 1.0)
 window_counts = st.integers(0, 10**12)
-skip_reasons = st.sampled_from([SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES])
+positive_counts = st.integers(1, 10**12)
+# each reason with the counts analyze writes for it
 series_entries = st.one_of(
-    st.builds(WindowEntry, years, unit_floats, unit_floats, window_counts, window_counts),
-    st.builds(WindowEntry, years, st.none(), st.none(), window_counts, window_counts, skip_reasons),
+    st.builds(WindowEntry, years, unit_floats, unit_floats, positive_counts, positive_counts),
+    st.builds(WindowEntry, years, st.none(), st.none(), st.just(0), st.just(0), st.just(SKIP_NO_PUBS)),
+    st.builds(WindowEntry, years, st.none(), st.none(), positive_counts, window_counts, st.just(SKIP_TOO_FEW)),
+    st.builds(WindowEntry, years, st.none(), st.none(), positive_counts, st.just(0), st.just(SKIP_ZERO_CITES)),
 )
 
 
@@ -435,11 +438,36 @@ def test_skipped_series_row_with_g_or_k_is_input_error(tmp_path, capsys, command
         ("2005,0.5,0.7,-3,-9,", "n_pubs and n_cites must not be negative, got -3, -9"),
         ("2005,,,5,5,banana", "skip reason must be one of no_publications, too_few_publications, "
                               "zero_citations, got 'banana'"),
+        ("2005,0.5,0.7,0,0,", "non-skipped row needs n_pubs > 0 and n_cites > 0, got 0, 0"),
+        ("2005,,,5,50,no_publications", "no_publications row needs n_pubs = 0 and n_cites = 0, got 5, 50"),
+        ("2005,,,0,0,zero_citations", "zero_citations row needs n_pubs > 0 and n_cites = 0, got 0, 0"),
+        ("2005,,,0,0,too_few_publications", "too_few_publications row needs n_pubs > 0, got 0, 0"),
+        ("2005,,,4,7,zero_citations", "zero_citations row needs n_pubs > 0 and n_cites = 0, got 4, 7"),
     ]:
         series_path.write_text("\n".join(lines + [row]) + "\n")
         code, out, err = run(capsys, command, series_path, "--out", out_dir)
         assert (code, out, err) == (1, "", f"error: ParseError: line 7: {series_path}: {message}\n")
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, text, message",
+    [
+        ("analyze", "p.csv", 'pub_id,year,citations\np1,2001,10\np2,1700,"5\n',
+         f"ValidationError: line 3: publication 'p2': year 1700 is not a 4-digit calendar year "
+         f"in [{MIN_YEAR}, {MAX_YEAR}]"),
+        *((command, "s.csv", 'central_year,g,k,n_pubs,n_cites,skipped\n2000,0.5,0.7,5,50,\n2001,0.6,1.7,5,60,"\n',
+           "ParseError: line 3: {path}: g and k must lie in [0, 1], got 0.6, 1.7") for command in ("fit", "plotdata")),
+    ],
+    ids=["analyze", "fit", "plotdata"],
+)
+def test_row_with_a_quoted_cell_open_at_eof_ends_on_the_last_line(tmp_path, capsys, command, name, text, message):
+    # the open cell takes in the file's last line break, which starts no line of its own
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, command, path, "--out", tmp_path / "out")
+    assert (code, out, err) == (1, "", f"error: {message.format(path=path)}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_series_with_utf8_bom_accepted(tmp_path, capsys):

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citeineq import (
@@ -102,6 +102,15 @@ class TestCsvLoading:
     def test_wrong_field_count(self, tmp_path):
         with pytest.raises(ParseError, match="3 fields"):
             load_profile(write(tmp_path, "h.csv", "pub_id,year,citations\np1,2001\n"))
+
+    @pytest.mark.parametrize("header", ["pub_id,year,citations", "id,year"])
+    def test_undecodable_byte_past_the_first_read_is_refused(self, tmp_path, header):
+        # the byte lies past the 8 KiB that a file read row by row decodes first
+        rows = "".join(f"p{i},2001,1\n" for i in range(1000))
+        path = tmp_path / "u.csv"
+        path.write_bytes(f"{header}\n{rows}".encode() + b"p\xff,2001,1\n")
+        with pytest.raises(ParseError, match=rf"^not UTF-8 text \(invalid start byte\): {path}$"):
+            load_profile(path)
 
     def test_duplicate_pub_id(self, tmp_path):
         text = "pub_id,year,citations\np1,2001,5\np1,2002,6\n"
@@ -337,6 +346,13 @@ class TestRowErrorOrder:
 
     @settings(max_examples=300, deadline=None)
     @given(faulty_records(), st.tuples(st.sampled_from(PADS), st.sampled_from(PADS)), st.sets(st.integers(0, 8)))
+    # a pub_id keeps its line breaks as written: the file is read untranslated
+    @example(records=[{"id": "p0\r\nq", "year": 2001, "citations": 1}, {"id": "p0\nq", "year": 2001, "citations": 2}],
+             pads=("", ""), blank_after=set())
+    @example(records=[{"id": "p0\r\nq", "year": 2001, "citations": 1}], pads=("", ""), blank_after={0})
+    @example(records=[{"id": "p0\rq", "year": 2001, "citations": 1}], pads=("", ""), blank_after=set())
+    @example(records=[{"id": "p0\nq", "year": 2001, "citations": 1}, {"id": "p1", "year": 1700, "citations": 1}],
+             pads=("", "\r"), blank_after={0})
     def test_csv_matches_row_by_row(self, tmp_path_factory, records, pads, blank_after):
         rows = [
             [csv_cell(rec[key], pad) for key, pad in zip(("id", "year", "citations"), ["", *pads]) if key in rec]

@@ -25,8 +25,8 @@ from citeineq import (
     window_series,
     yearly_average,
 )
-from citeineq.report import read_series_csv
-from citeineq.windows import SKIP_NO_PUBS
+from citeineq.report import read_series_csv, series_from_csv, series_to_csv
+from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
 from helpers import citations_in, fraction_pair, make_profile, profile_of, series_from_pairs
 
 # year -> citation lists drawn like modest careers
@@ -35,6 +35,14 @@ profiles = st.dictionaries(
     st.lists(st.integers(0, 1000), min_size=1, max_size=6),
     min_size=1,
     max_size=20,
+).map(make_profile)
+
+# few papers with few citations, so that every skip reason is common
+sparse_profiles = st.dictionaries(
+    st.integers(1990, 2018),
+    st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    min_size=1,
+    max_size=8,
 ).map(make_profile)
 
 
@@ -109,6 +117,40 @@ class TestWindowSeries:
         g = k = None if reason else 0.5
         with pytest.raises(ValidationError, match=f"^n_pubs and n_cites must not be negative, got {n_pubs}, {n_cites}$"):
             WindowEntry(2000, g, k, n_pubs, n_cites, reason)
+
+    @pytest.mark.parametrize(
+        "n_pubs, n_cites, reason, rule",
+        [
+            (0, 0, None, "non-skipped row needs n_pubs > 0 and n_cites > 0"),
+            (5, 0, None, "non-skipped row needs n_pubs > 0 and n_cites > 0"),
+            (0, 3, None, "non-skipped row needs n_pubs > 0 and n_cites > 0"),
+            (5, 50, SKIP_NO_PUBS, "no_publications row needs n_pubs = 0 and n_cites = 0"),
+            (0, 7, SKIP_NO_PUBS, "no_publications row needs n_pubs = 0 and n_cites = 0"),
+            (0, 0, SKIP_ZERO_CITES, "zero_citations row needs n_pubs > 0 and n_cites = 0"),
+            (4, 7, SKIP_ZERO_CITES, "zero_citations row needs n_pubs > 0 and n_cites = 0"),
+            (0, 0, SKIP_TOO_FEW, "too_few_publications row needs n_pubs > 0"),
+            (0, 3, SKIP_TOO_FEW, "too_few_publications row needs n_pubs > 0"),
+        ],
+    )
+    def test_counts_must_fit_the_reason_on_construction(self, n_pubs, n_cites, reason, rule):
+        g = k = None if reason else 0.5
+        with pytest.raises(ValidationError, match=rf"^{rule}, got {n_pubs}, {n_cites}$"):
+            WindowEntry(2000, g, k, n_pubs, n_cites, reason)
+
+    @given(profiles | sparse_profiles, st.integers(1, 5), st.integers(1, 8))
+    def test_series_rows_keep_the_count_rules(self, profile, min_pubs, width):
+        # the rules the series reader checks, stated apart from WindowEntry
+        config = WindowConfig(width_years=width, end_year=2026, min_pubs=min_pubs)
+        series = window_series(profile, config)
+        for e in series.entries:
+            assert (e.reason == SKIP_NO_PUBS) == (e.n_pubs == 0)
+            if e.reason == SKIP_NO_PUBS:
+                assert e.n_cites == 0
+            elif e.reason == SKIP_ZERO_CITES:
+                assert e.n_pubs >= 1 and e.n_cites == 0
+            elif e.reason is None:
+                assert e.n_pubs >= 1 and e.n_cites >= 1
+        assert series_from_csv(series_to_csv(series)) == series
 
     def test_no_windows(self):
         profile = make_profile({2021: [4, 5]})
