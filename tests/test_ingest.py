@@ -109,8 +109,9 @@ class TestCsvLoading:
         rows = "".join(f"p{i},2001,1\n" for i in range(1000))
         path = tmp_path / "u.csv"
         path.write_bytes(f"{header}\n{rows}".encode() + b"p\xff,2001,1\n")
-        with pytest.raises(ParseError, match=rf"^not UTF-8 text \(invalid start byte\): {path}$"):
+        with pytest.raises(ParseError) as info:
             load_profile(path)
+        assert str(info.value) == f"not UTF-8 text (invalid start byte): {path}"
 
     def test_duplicate_pub_id(self, tmp_path):
         text = "pub_id,year,citations\np1,2001,5\np1,2002,6\n"
