@@ -9,15 +9,16 @@ Two on-disk profile formats are accepted:
 
 Either format is read as columns, which go straight to
 ``ResearcherProfile``; it checks the row rules once over each whole column.
-No per-row object is built for a valid file.  A CSV file is read whole,
-with its line ends as written, and then by the one ``csv.reader`` loop,
+No per-row object is built for a valid file.  A CSV file is streamed,
+with its line ends as written, through the one ``csv.reader`` loop,
 ``csv_columns``, which appends each row's cells to the header's columns and
 keeps no line number per row; the year and citations columns then become
 int64 arrays, at one ``int`` per cell, or else are read again by
 ``_parse_cells``, the one statement of an integer cell.  A row the profile
 refuses comes back with its index, reported as its JSON ``publications``
 index or as its CSV line: ``csv.reader``'s own line count at that row,
-which a second reader over the text gives only then.
+which a second reader gives only then, by reading the file again.  A JSON
+profile and a manifest are each read whole.
 A fault in the file's structure (a CSV cell that is not an integer, a
 malformed CSV row, a JSON record without the three keys) is reported only
 when the rows above it keep the row rules; within a row, a CSV cell that is
@@ -27,7 +28,7 @@ A batch manifest is a JSON array of ``{name, path, tags}`` records whose
 paths resolve relative to the manifest file and whose names give distinct
 output file stems.  There is deliberately no network ingestion; snapshots
 must be exported to files first.  Every input file is read as UTF-8 with an
-optional BOM; undecodable bytes raise ``ParseError``.
+optional BOM; undecodable bytes anywhere in it raise ``ParseError``.
 
 This module also holds the package's one CSV reader (``csv_columns``), which
 reads profile and series CSVs, its CSV writer (``csv_text``) and its file
@@ -44,6 +45,7 @@ import json
 import math
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -98,21 +100,39 @@ def _input_file(path, what: str) -> Path:
     return path
 
 
-def read_text(path, what: str, newline: str | None = None) -> str:
-    """Read a whole UTF-8 file, dropping a leading BOM; ``newline`` is as for
-    ``open``, and ``""`` keeps every line end as written.
+def read_text(path, what: str) -> str:
+    """Read a whole UTF-8 file, dropping a leading BOM; only JSON documents
+    (profiles and manifests) are read this way, and CSV files are streamed.
 
     A path that is not a regular file, or undecodable bytes, raise
     ``ParseError`` naming ``what``.
     """
-    return _read_file(_input_file(path, what), newline)
+    return _read_file(_input_file(path, what))
 
 
-def _read_file(path: Path, newline: str | None = None) -> str:
+def _read_file(path: Path) -> str:
     """``read_text`` of a path already known to be a regular file."""
+    with _utf8(path), open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def read_csv(path, what: str, header: list[str]):
+    """``csv_columns`` of a UTF-8 file, dropping a leading BOM, streamed from
+    the file and opened again by ``line``.
+
+    A path that is not a regular file, or undecodable bytes anywhere in the
+    file, raise ``ParseError`` naming ``what``.
+    """
+    path = _input_file(path, what)
+    with _utf8(path):
+        return csv_columns(lambda: open(path, encoding="utf-8-sig", newline=""), header)
+
+
+@contextmanager
+def _utf8(path: Path):
+    """Raise a ``UnicodeDecodeError`` from reading ``path`` as ``ParseError``."""
     try:
-        with open(path, encoding="utf-8-sig", newline=newline) as fh:
-            return fh.read()
+        yield
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason}): {path}") from None
 
@@ -126,8 +146,8 @@ def check_outputs(paths) -> None:
     for path in paths:
         parent, name = os.path.split(path)
         if parent not in name_max:
-            # os.path.exists, unlike Path.exists, is False for an over-long name
-            ancestor = next(part for part in Path(path).parents if os.path.exists(part))
+            # lexists stops at a dangling or looping link, and is False for an over-long name
+            ancestor = next(part for part in Path(path).parents if os.path.lexists(part))
             if not ancestor.is_dir():
                 raise ValidationError(f"--out must be a directory, and {ancestor} is not one")
             limit = name_max[parent] = os.pathconf(ancestor, "PC_NAME_MAX")
@@ -182,45 +202,57 @@ def _parse_json(text: str):
         raise ParseError(f"invalid JSON: {exc}") from None
 
 
-def csv_columns(text: str, header: list[str]):
+def csv_columns(open_lines, header: list[str]):
     """Read the CSV rows after ``header`` into one list of cells per header cell.
 
-    ``text`` is the whole file, read untranslated (``newline=""``), so that a
-    line ends at ``\\r\\n``, a lone ``\\r`` or a lone ``\\n`` and a quoted cell
-    keeps its line breaks as written.  The first row must be exactly
-    ``header``; blank lines are skipped.  Returns ``(columns, line, error)``:
+    ``open_lines()`` opens the text as a stream read untranslated
+    (``newline=""``), so that a line ends at ``\\r\\n``, a lone ``\\r`` or a
+    lone ``\\n`` and a quoted cell keeps its line breaks as written; the rows
+    are read from it line by line, so a file is never held whole.  The
+    first row must be exactly ``header``; blank lines are skipped.  Returns
+    ``(columns, line, error)``:
 
     * ``line(row)`` is ``csv.reader``'s ``line_num`` after the row with index
       ``row``: the line it ends on.  No line number is kept per row; the call
-      reads ``text`` again up to that row, so only error paths make it.
+      opens the text again and reads it up to that row, so only error paths
+      make it.
     * ``error`` is the ``ParseError`` of a wrong header, of a row without
-      ``len(header)`` cells or of malformed CSV, which ends the read; the
-      caller raises it only after the rows above it.  Else it is None.
+      ``len(header)`` cells or of malformed CSV, which ends the rows read;
+      the rest of the stream is still read, so that an undecodable byte
+      anywhere raises ``UnicodeDecodeError``.  The caller raises ``error``
+      only after the rows above it.  Else it is None.
+
+    Every stream opened is closed before the call returns.
     """
     width = len(header)
     cells, error = [], None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        first = next(reader, [])
-        if first != header:
-            error = ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
-        else:
-            extend = cells.extend
-            for row in reader:
-                if len(row) == width:
-                    extend(row)
-                elif row:
-                    error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
-                    break
-    except csv.Error as exc:
-        error = ParseError(str(exc), line=reader.line_num)
+    with open_lines() as lines:
+        reader = csv.reader(lines)
+        try:
+            first = next(reader, [])
+            if first != header:
+                error = ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
+            else:
+                extend = cells.extend
+                for row in reader:
+                    if len(row) == width:
+                        extend(row)
+                    elif row:
+                        error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+                        break
+        except csv.Error as exc:
+            error = ParseError(str(exc), line=reader.line_num)
+        if error is not None:
+            while lines.read(1 << 16):  # decode the rest of the stream, a chunk at a time
+                pass
     columns = [cells[i::width] for i in range(width)]
     del cells
 
     def line(row: int) -> int:
-        again = csv.reader(io.StringIO(text, newline=""))
-        next(islice(filter(None, again), row + 1, None))  # the header, then rows 0 to row
-        return again.line_num
+        with open_lines() as lines:
+            again = csv.reader(lines)
+            next(islice(filter(None, again), row + 1, None))  # the header, then rows 0 to row
+            return again.line_num
 
     return columns, line, error
 
@@ -246,15 +278,14 @@ def _load_csv(path: Path) -> ResearcherProfile:
     """A CSV profile named by its stem; ``_parse_cells`` reads columns the int64 screen refuses."""
     if _has_surrogate(path.stem):  # the stem names the profile, which is written out as UTF-8
         raise ParseError(f"profile file name is not UTF-8: {path}")
-    columns, line, error = csv_columns(_read_file(path, newline=""), CSV_HEADER)
-    ids, years, citations = columns
+    columns, line, error = read_csv(path, "profile", CSV_HEADER)
     try:
-        counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in (years, citations)]
+        counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in columns[1:]]
     except (ValueError, OverflowError):  # a cell that ``int`` refuses, or one past int64
         columns, cell_error = _parse_cells(columns, line)
         error = cell_error or error
     else:
-        columns = [ids, *counts]
+        columns[1:] = counts  # the count cells are freed before the profile is built
     return _profile(path.stem, [], columns, lambda row: f"line {line(row)}", error)
 
 
@@ -367,7 +398,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         entries.append(
             ManifestEntry(
                 name=rec["name"],
-                path=(path.parent / rec["path"]).resolve(),
+                path=Path(os.path.realpath(path.parent / rec["path"])),  # Path.resolve raises on a link loop
                 tags=tuple(tags),
             )
         )

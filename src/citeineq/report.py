@@ -8,12 +8,13 @@ inputs; rounding to 2 decimals happens only in the Markdown rendering.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .ingest import csv_columns, csv_text, read_text, write_text
+from .ingest import csv_columns, csv_text, read_csv, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -36,7 +37,17 @@ def series_to_csv(series: IndexSeries) -> str:
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
     """Parse series CSV text; ``WindowEntry`` checks each row's values, and
     ``IndexSeries`` then checks that the central years ascend."""
-    columns, line, error = csv_columns(text, SERIES_COLUMNS)
+    return _series(*csv_columns(lambda: io.StringIO(text, newline=""), SERIES_COLUMNS), source)
+
+
+def read_series_csv(path) -> IndexSeries:
+    """``series_from_csv`` of a UTF-8 file, streamed from it by ``read_csv``;
+    the line named in an error is found by reading the file again."""
+    return _series(*read_csv(path, "series", SERIES_COLUMNS), str(path))
+
+
+def _series(columns, line, error, source: str) -> IndexSeries:
+    """The series of what ``csv_columns`` returns; ``source`` names the text in errors."""
     entries = []
     for row, cells in enumerate(zip(*columns)):
         year, g, k, n_pubs, n_cites, reason = map(str.strip, cells)
@@ -53,10 +64,6 @@ def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
         return IndexSeries(entries=entries)
     except ValidationError as exc:
         raise ParseError(f"{source}: {exc}", line=line(exc.row)) from None
-
-
-def read_series_csv(path) -> IndexSeries:
-    return series_from_csv(read_text(path, "series", newline=""), source=str(path))
 
 
 # --- career summary --------------------------------------------------------

@@ -179,7 +179,8 @@ def _tree(root) -> dict:
 
 @pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
 @pytest.mark.parametrize(
-    "fault", ["out-is-a-file", "out-under-a-file", "exists", "name-too-long", "new-dir-too-long", "dir-too-long"])
+    "fault", ["out-is-a-file", "out-under-a-file", "exists", "name-too-long", "new-dir-too-long", "dir-too-long",
+              "dangling-link", "link-loop"])
 def test_output_fault_is_one_line_validation_error_before_any_write(tmp_path, capsys, fault, command):
     stem, output, long_stem, long_output = OUTPUT_FAULT_COMMANDS[command]
     argv = _output_argv(tmp_path, command, long_stem if fault == "name-too-long" else stem)
@@ -192,6 +193,11 @@ def test_output_fault_is_one_line_validation_error_before_any_write(tmp_path, ca
     elif fault == "dir-too-long":  # --out under a missing directory whose name is too long
         out = tmp_path / ("d" * 300) / "x"
         expected = f"output directory name is longer than 255 bytes: {out.parent}"
+    elif fault in ("dangling-link", "link-loop"):
+        if not hasattr(os, "symlink"):
+            pytest.skip("needs os.symlink")
+        os.symlink("nowhere" if fault == "dangling-link" else "out", out)
+        expected = f"--out must be a directory, and {out} is not one"
     elif fault == "exists":
         (out / output).parent.mkdir(parents=True)
         (out / output).write_text("kept\n")
@@ -672,6 +678,19 @@ class TestBatch:
         assert code == 1
         assert "error: ParseError: profile 'a': profile path is not a regular file:" in err
         assert not out_dir.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "symlink"), reason="needs os.symlink")
+    @pytest.mark.parametrize("others, code", [(1, 3), (0, 1)])
+    def test_entry_through_a_link_loop_fails_on_its_own(self, tmp_path, capsys, others, code):
+        manifest = build_cohort(tmp_path, n_profiles=others)
+        os.symlink("b", tmp_path / "a")
+        os.symlink("a", tmp_path / "b")
+        manifest.write_text(json.dumps([*json.loads(manifest.read_text()), {"name": "x", "path": "a"}]))
+        got, out, err = run(capsys, "batch", manifest, "--out", tmp_path / "out")
+        assert got == code
+        lines = err.splitlines()
+        assert lines[0] == f"error: ParseError: profile 'x': profile file not found: {Path(os.path.realpath(tmp_path)) / 'a'}"
+        assert len(lines) == 1 + (not others)
 
     def test_colliding_file_stems_refused(self, tmp_path, capsys):
         manifest = build_cohort(tmp_path, n_profiles=2)
