@@ -8,17 +8,14 @@ Two on-disk profile formats are accepted:
   ``publications`` array of ``{id, year, citations}`` objects.
 
 Either format is read as columns, which go straight to
-``ResearcherProfile``; it checks the row rules once over each whole column.
-No per-row object is built for a valid file.  A CSV file is streamed,
-with its line ends as written, through the one ``csv.reader`` loop,
-``csv_columns``, which appends each row's cells to the header's columns and
-keeps no line number per row; the year and citations columns then become
-int64 arrays, at one ``int`` per cell, or else are read again by
-``_parse_cells``, the one statement of an integer cell.  A row the profile
-refuses comes back with its index, reported as its JSON ``publications``
-index or as its CSV line: ``csv.reader``'s own line count at that row,
-which a second reader gives only then, by reading the file again.  A JSON
-profile and a manifest are each read whole.
+``ResearcherProfile``; it checks the row rules once over each whole column,
+and no per-row object is built for a valid file.  A CSV file is streamed
+through the one ``csv.reader`` loop, ``csv_columns``, and its cells are read
+by the one cell grammar, ``parse_cells``, which the series reader shares:
+once stripped, an integer is an optional ``-`` and ASCII digits.  A row the
+profile refuses is reported by its JSON ``publications`` index or its CSV
+line, which ``csv.reader`` counts only then, by reading the file again.  A
+JSON profile and a manifest are each read whole.
 A fault in the file's structure (a CSV cell that is not an integer, a
 malformed CSV row, a JSON record without the three keys) is reported only
 when the rows above it keep the row rules; within a row, a CSV cell that is
@@ -45,7 +42,7 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -257,6 +254,38 @@ def csv_columns(open_lines, header: list[str]):
     return columns, line, error
 
 
+def parse_cells(columns, header, kinds, array=False):
+    """Parse the columns of ``csv_columns`` by the one cell grammar of the CSV readers.
+
+    A kind of None keeps each cell as written; the others read it once
+    ``str.strip`` has removed its padding.  ``int``: an optional ``-`` and
+    ASCII digits, at any size; with ``array``, an int64 column where it fits.
+    ``float``: an ASCII literal without ``_`` that ``float`` reads, or None
+    if empty.  ``str``: the text, or None if empty.  Returns the parsed
+    columns and None; or, at the first cell in file order that its kind
+    refuses, the rows above its row and ``(row, message)``.
+    """
+    parsed, fault = [], None
+    for name, kind, cells in zip(header, kinds, columns):
+        if kind is int and (digits := "".join(cells)).isascii() and digits.isdigit() and all(cells):
+            with suppress(OverflowError, ValueError):  # a value past int64, or past ``int``'s digit limit
+                parsed.append(np.array(cells, dtype=np.int64) if array else list(map(int, cells)))
+                continue
+        parsed.append(values := [] if kind else cells)
+        try:
+            for row, cell in enumerate(map(str.strip, cells if kind else ())):
+                if kind is str or kind is float and not cell:
+                    values.append(cell or None)
+                elif cell.isascii() and (cell.removeprefix("-").isdigit() if kind is int else "_" not in cell):
+                    values.append(kind(cell))  # ``float`` may refuse the literal, and ``int`` its digit count
+                else:
+                    raise ValueError(cell)
+        except ValueError:
+            if fault is None or row < fault[0]:
+                fault = row, f"{name} {cells[row]!r} is not {'an integer' if kind is int else 'a number'}"
+    return ([column[:fault[0]] for column in parsed] if fault else parsed), fault
+
+
 def _profile(name: str, tags: list[str], columns, where, error: ParseError | None):
     """``ResearcherProfile(name, tags, *columns)``, or the first fault in file order.
 
@@ -275,37 +304,13 @@ def _profile(name: str, tags: list[str], columns, where, error: ParseError | Non
 
 
 def _load_csv(path: Path) -> ResearcherProfile:
-    """A CSV profile named by its stem; ``_parse_cells`` reads columns the int64 screen refuses."""
+    """A CSV profile named by its stem, its count cells read by ``parse_cells``."""
     if _has_surrogate(path.stem):  # the stem names the profile, which is written out as UTF-8
         raise ParseError(f"profile file name is not UTF-8: {path}")
     columns, line, error = read_csv(path, "profile", CSV_HEADER)
-    try:
-        counts = [np.fromiter(map(int, cells), np.int64, len(cells)) for cells in columns[1:]]
-    except (ValueError, OverflowError):  # a cell that ``int`` refuses, or one past int64
-        columns, cell_error = _parse_cells(columns, line)
-        error = cell_error or error
-    else:
-        columns[1:] = counts  # the count cells are freed before the profile is built
+    columns, fault = parse_cells(columns, CSV_HEADER, (None, int, int), array=True)  # frees the count cells
+    error = ParseError(fault[1], line=line(fault[0])) if fault else error
     return _profile(path.stem, [], columns, lambda row: f"line {line(row)}", error)
-
-
-def _parse_cells(columns, line) -> tuple[list, ParseError | None]:
-    """Parse the year and citations cells of ``columns`` one at a time, in file order.
-
-    A cell is an integer when ``int(cell.strip())`` reads it, at any size.
-    Returns the ids and the two parsed columns, and None; at the first bad
-    cell, the rows above its row and the cell's ``ParseError`` on ``line(row)``.
-    """
-    ids, *texts = columns
-    parsed = [], []
-    for row, cells in enumerate(zip(*texts)):
-        for what, cell, ints in zip(("year", "citations"), cells, parsed):
-            try:
-                ints.append(int(cell.strip()))
-            except ValueError:
-                error = ParseError(f"{what} {cell!r} is not an integer", line=line(row))
-                return [ids[:row], *(column[:row] for column in parsed)], error
-    return [ids, *parsed], None
 
 
 def _load_json(path: Path) -> ResearcherProfile:
@@ -313,7 +318,7 @@ def _load_json(path: Path) -> ResearcherProfile:
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # a JSON true or 1.0 is not 1
         raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     name = doc.get("name")
     if not isinstance(name, str) or not name:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .ingest import csv_columns, csv_text, read_csv, write_text
+from .ingest import csv_columns, csv_text, parse_cells, read_csv, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -35,8 +35,8 @@ def series_to_csv(series: IndexSeries) -> str:
 
 
 def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
-    """Parse series CSV text; ``WindowEntry`` checks each row's values, and
-    ``IndexSeries`` then checks that the central years ascend."""
+    """Parse series CSV text, its cells by ``ingest.parse_cells``' grammar; ``WindowEntry``
+    checks each row's values, and ``IndexSeries`` then that the central years ascend."""
     return _series(*csv_columns(lambda: io.StringIO(text, newline=""), SERIES_COLUMNS), source)
 
 
@@ -48,16 +48,16 @@ def read_series_csv(path) -> IndexSeries:
 
 def _series(columns, line, error, source: str) -> IndexSeries:
     """The series of what ``csv_columns`` returns; ``source`` names the text in errors."""
+    columns, fault = parse_cells(columns, SERIES_COLUMNS, (int, float, float, int, int, str))
     entries = []
     for row, cells in enumerate(zip(*columns)):
-        year, g, k, n_pubs, n_cites, reason = map(str.strip, cells)
         try:
-            entries.append(WindowEntry(
-                int(year), float(g) if g else None, float(k) if k else None,
-                int(n_pubs), int(n_cites), reason or None,
-            ))
-        except (ValueError, ValidationError) as exc:
-            raise ParseError(f"{source}: {exc}", line=line(row)) from None
+            entries.append(WindowEntry(*cells))
+        except ValidationError as exc:
+            fault = row, str(exc)
+            break
+    if fault is not None:  # a row that WindowEntry refuses, or else the first cell the grammar refuses
+        raise ParseError(f"{source}: {fault[1]}", line=line(fault[0]))
     if error is not None:  # a malformed row below the rows read
         raise error
     try:

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -197,10 +198,11 @@ def row_by_row_profile(name, tags, ids, years, citations):
 
 
 def _row_by_row_int(text: str, what: str, line: int) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"{what} {text!r} is not an integer", line=line) from None
+    """The cell grammar of an integer, stated apart from ``ingest``: once
+    ``str.strip`` has removed its padding, an optional ``-`` and ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text.strip()):
+        raise ParseError(f"{what} {text!r} is not an integer", line=line)
+    return int(text.strip())
 
 
 def _csv_rows(fh, header):
@@ -237,7 +239,7 @@ def _row_by_row_json(path: Path):
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
-    if version != ingest.SCHEMA_VERSION:
+    if type(version) is not int or version != ingest.SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r} (expected {ingest.SCHEMA_VERSION})")
     name = doc.get("name")
     if not isinstance(name, str) or not name:

@@ -413,6 +413,50 @@ def test_series_g_outside_unit_interval_is_input_error(tmp_path, capsys, command
     assert not out_dir.exists()
 
 
+#: (column, cell) pairs that the cell grammar refuses; Python's ``int`` and ``float`` read each.
+PROFILE_FAULTS = [("year", "2_001"), ("citations", "1_0"), ("year", "٢٠٠٢"), ("citations", "+7")]
+SERIES_FAULTS = [*((column, cell) for column in ("central_year", "n_pubs", "n_cites") for cell in ("5_0", "+5", "٥")),
+                 *((column, cell) for column in ("g", "k") for cell in ("0.5_1", "٠.٥"))]
+#: (column, cell, error) of cells read as before: a padded cell is stripped, and -1 reaches the row rules.
+PROFILE_KEPT = [("year", " 2003 ", None), ("citations", "\x1c10\x1c", None),
+                ("citations", "-1", "ValidationError: line 2: publication 'p1': citations must be an integer "
+                                    f"in [0, {MAX_CITATIONS}], got -1")]
+SERIES_KEPT = [("n_cites", " 2003 ", None), ("n_pubs", "\x1c10\x1c", None),
+               ("n_pubs", "-1", "ParseError: line 2: {path}: n_pubs and n_cites must not be negative, got -1, 50")]
+
+
+def _cell_cases():
+    for commands, faults, kept in [(["analyze"], PROFILE_FAULTS, PROFILE_KEPT),
+                                   (["fit", "plotdata"], SERIES_FAULTS, SERIES_KEPT)]:
+        prefix = "" if commands == ["analyze"] else "{path}: "
+        for command in commands:
+            for column, cell in faults:
+                noun = "a number" if column in ("g", "k") else "an integer"
+                error = f"ParseError: line 2: {prefix}{column} {cell!r} is not {noun}"
+                yield pytest.param(command, column, cell, error, id=f"{command}-{column}-{cell!a}")
+            for column, cell, error in kept:
+                yield pytest.param(command, column, cell, error, id=f"{command}-{column}-{cell!a}")
+
+
+@pytest.mark.parametrize("command, column, cell, error", _cell_cases())
+def test_one_cell_grammar_for_profile_and_series_csv(tmp_path, capsys, command, column, cell, error):
+    # the cell goes in the first row, where the value Python's int or float reads from it is valid
+    if command == "analyze":
+        rows = [["pub_id", "year", "citations"], ["p1", "2001", "10"], ["p2", "2002", "5"]]
+    else:
+        rows = [["central_year", "g", "k", "n_pubs", "n_cites", "skipped"]]
+        rows += [[str(2000 + i), f"0.{50 + i}", f"0.{70 + i}", "5", "50", ""] for i in range(6)]
+    rows[1][rows[0].index(column)] = cell
+    path = tmp_path / "in.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    code, out, err = run(capsys, command, path, "--out", tmp_path / "out")
+    if error is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (1, "", f"error: {error.format(path=path)}\n")
+        assert not (tmp_path / "out").exists()
+
+
 years = st.integers(1800, 2100)
 unit_floats = st.floats(0.0, 1.0)
 window_counts = st.integers(0, 10**12)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -251,6 +252,17 @@ class TestJsonLoading:
         with pytest.raises(SchemaError, match="schema_version 2"):
             load_profile(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_must_be_the_integer_1(self, tmp_path, version):
+        # a JSON true is not an integer anywhere else either, and 1.0 == 1 == True in Python
+        path = write(tmp_path, "v.json", json.dumps(self.doc(schema_version=version)))
+        with pytest.raises(SchemaError) as info:
+            load_profile(path)
+        assert str(info.value) == f"unsupported schema_version {version!r} (expected 1)"
+        with pytest.raises(SchemaError) as oracle:
+            row_by_row_load(path)
+        assert str(oracle.value) == str(info.value)
+
     @pytest.mark.parametrize(
         "overrides, message",
         [
@@ -368,7 +380,7 @@ PADS = ["", " ", "\t", "\x1c", "\n", "\r"]
 #: A field of None drops one of the keys listed; values of None copy the id
 #: of a record drawn from the profile.
 FAULTS = [
-    *((field, ["x", "1.5", "", " ", "1e3", "true", "0x10", "12", 1.5, None, [2000]])
+    *((field, ["x", "1.5", "", " ", "1e3", "true", "0x10", "12", "2_001", "٢٠٠٢", "+7", 1.5, None, [2000]])
       for field in ("year", "citations")),  # not an integer (a CSV cell or a JSON value)
     ("year", [MIN_YEAR - 1, 0, -1, -(2**63) - 1]),
     ("year", [MAX_YEAR + 1, 2**63 - 1, 2**63, 2**64 + 1, 10**30]),
@@ -416,6 +428,38 @@ def faulty_records(draw, not_objects=False):
 def csv_cell(value, pad: str) -> str:
     """A record value as a CSV cell; an integer is padded."""
     return f"{pad}{value}{pad}" if type(value) is int else str(value)
+
+
+#: A pub_id that a CSV file and a JSON document hold alike: no surrogate, and no
+#: NUL, which ``csv.reader`` refuses before Python 3.11.
+csv_and_json_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=4)
+
+
+class TestCrossFormat:
+    """The same records written as a CSV and as a JSON profile load alike."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(csv_and_json_ids, st.integers(MIN_YEAR, MAX_YEAR) | st.integers(),
+                              st.integers(0, MAX_CITATIONS) | st.integers()), max_size=6))
+    @example(rows=[("a", 2001, 2**63), ("b", -(2**64), 1)])  # past int64 in the CSV's count and year cells
+    def test_csv_and_json_profiles_agree(self, tmp_path_factory, rows):
+        # equal profiles, or errors of one type whose messages differ only in
+        # ``line N`` against ``publications[i]``
+        directory = tmp_path_factory.mktemp("cross")
+        out = io.StringIO()
+        csv.writer(out, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows([ingest.CSV_HEADER, *rows])
+        (directory / "p.csv").write_text(out.getvalue(), encoding="utf-8")
+        records = [dict(zip(("id", "year", "citations"), row)) for row in rows]
+        doc = {"schema_version": 1, "name": "p", "tags": [], "publications": records}
+        (directory / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        reader = csv.reader(io.StringIO(out.getvalue(), newline=""))
+        lines = [reader.line_num for _ in reader][1:]  # the line each row ends on
+        from_csv, from_json = (outcome(load_profile, directory / name) for name in ("p.csv", "p.json"))
+        if isinstance(from_json, ResearcherProfile):
+            assert from_csv == from_json
+        else:
+            kind, message = from_json
+            assert from_csv == (kind, re.sub(r"^publications\[(\d+)\]", lambda m: f"line {lines[int(m[1])]}", message))
 
 
 class TestRowErrorOrder:
@@ -469,6 +513,7 @@ class TestRowErrorOrder:
             (["p1", "abc", "-1"], "line 2: year 'abc' is not an integer"),
             (["p1", "1500", "1.0"], "line 2: citations '1.0' is not an integer"),
             (["p1", "99999999999999999999", "x"], "line 2: citations 'x' is not an integer"),
+            (["p1", "2_001", "+7"], "line 2: year '2_001' is not an integer"),  # the row's first bad cell
         ],
     )
     def test_parse_error_beats_validation_error_in_same_row(self, tmp_path, row, message):
