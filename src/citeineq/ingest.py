@@ -259,7 +259,7 @@ def parse_cells(columns, header, kinds, array=False):
 
     A kind of None keeps each cell as written; the others read it once
     ``str.strip`` has removed its padding.  ``int``: an optional ``-`` and
-    ASCII digits, at any size; with ``array``, an int64 column where it fits.
+    ASCII digits, as many as ``int`` reads; with ``array``, int64 where it fits.
     ``float``: an ASCII literal without ``_`` that ``float`` reads, or None
     if empty.  ``str``: the text, or None if empty.  Returns the parsed
     columns and None; or, at the first cell in file order that its kind
