@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import INPUT_ERRORS, CiteIneqError, ValidationError
+from .errors import INPUT_ERRORS, CiteIneqError, ValidationError, echo
 from .ingest import (
     PROFILE_SUFFIXES,
     ManifestEntry,
@@ -27,6 +27,7 @@ from .ingest import (
     file_stem,
     load_manifest,
     load_profile,
+    new_file,
     synth_profile,
     write_profile,
     write_text,
@@ -98,7 +99,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     series, summary = analyze_profile(profile, window, soc)
     write_profile_files(series, summary, paths)
     if args.markdown:
-        write_text(cohort_to_markdown(BatchResult([summary], [])), paths[2])
+        with new_file(paths[2]) as fh:
+            cohort_to_markdown(BatchResult([summary], []), fh)
     for path in paths:
         print(path)
     return EXIT_OK
@@ -149,7 +151,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         try:
             series, summary = _analyze_entry(entry, window, soc)
         except (CiteIneqError, OSError) as exc:  # an input or computation fault of this profile
-            _print_error(f"{type(exc).__name__}: profile {entry.name!r}: {exc}")
+            _print_error(f"{type(exc).__name__}: profile {echo(entry.name)}: {exc}")
             batch.failures.append((entry.name, exc))
         else:  # a write's OSError is the run's error, not this profile's
             write_profile_files(series, summary, profile_paths[entry.name])
@@ -158,10 +160,14 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         _print_error("BatchFailed: every profile in the batch failed")
         # EXIT_COMPUTE if any failure is a computation error, else EXIT_INPUT
         return max(_exit_code(exc) for _, exc in batch.failures)
-    print(write_text(cohort_to_csv(batch), cohort_paths[0]))
+    with new_file(cohort_paths[0]) as fh:
+        cohort_to_csv(batch, fh)
+    print(cohort_paths[0])
     print(write_json(cohort_to_json(batch), cohort_paths[1]))
     if args.markdown:
-        print(write_text(cohort_to_markdown(batch), cohort_paths[2]))
+        with new_file(cohort_paths[2]) as fh:
+            cohort_to_markdown(batch, fh)
+        print(cohort_paths[2])
     return EXIT_PARTIAL if batch.failures else EXIT_OK
 
 

@@ -2,8 +2,21 @@
 
 Input-side errors (files, schemas, values) and computation-side errors
 (degenerate statistics) are kept distinct so the CLI can map them to
-different exit codes.
+different exit codes.  An input value that a message repeats goes through
+``echo``, so that a one-line message stays short whatever the input holds.
 """
+
+#: Most characters of an input value's ``repr`` that an error message repeats.
+ECHO_LIMIT = 100
+
+
+def echo(value) -> str:
+    """``repr(value)`` as an error message repeats it: whole up to
+    ``ECHO_LIMIT`` characters, else cut there and followed by its length."""
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 class CiteIneqError(Exception):

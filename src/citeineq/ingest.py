@@ -28,10 +28,13 @@ must be exported to files first.  Every input file is read as UTF-8 with an
 optional BOM; undecodable bytes anywhere in it raise ``ParseError``.
 
 This module also holds the package's one CSV reader (``csv_columns``), which
-reads profile and series CSVs, its CSV writer (``csv_text``) and its file
-writer (``write_text``), which every output goes through and which never
-replaces an existing file; every command first checks all its output paths
-with ``check_outputs``.
+reads profile and series CSVs, its CSV writer (``write_csv``) and its file
+writer (``new_file``), which every output goes through and which never
+replaces an existing file.  An output that grows with the input is encoded
+straight into the temporary file that ``new_file`` renames into place, and is
+never held whole as text; ``write_text`` and ``csv_text`` serve the small,
+fixed-size ones.  Every command first checks all its output paths with
+``check_outputs``.
 """
 
 from __future__ import annotations
@@ -44,12 +47,12 @@ import os
 import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 
 from ._lazy import np
-from .errors import BadSpec, ParseError, SchemaError, ValidationError
+from .errors import BadSpec, ParseError, SchemaError, ValidationError, echo
 from .profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR, ResearcherProfile, check_rows
 
 SCHEMA_VERSION = 1
@@ -159,13 +162,16 @@ def check_outputs(paths) -> None:
             raise ValidationError(f"output file name is longer than {name_max[parent]} bytes: {path}")
 
 
-def write_text(text: str, path) -> Path:
-    """Write ``text`` as UTF-8 with LF line ends to a new file ``path``.
+@contextmanager
+def new_file(path):
+    """Yield a text handle whose writes become the new file ``path``, UTF-8 with
+    the line ends written.
 
-    An existing ``path`` is refused.  The text goes to a temporary file in the
-    same directory, which is then renamed onto ``path``; a failed write removes
-    it, so ``path`` is either absent or complete.  There is no fsync: the file
-    is complete after a crash of this program, not of the machine.
+    An existing ``path`` is refused.  The handle writes a temporary file in the
+    same directory, which is renamed onto ``path`` when the ``with`` block ends
+    cleanly; any exception removes it, so ``path`` is either absent or
+    complete.  There is no fsync: the file is complete after a crash of this
+    program, not of the machine.
     """
     path = Path(path)
     if os.path.lexists(path):
@@ -175,12 +181,18 @@ def write_text(text: str, path) -> Path:
     fh = open(temp, "x", encoding="utf-8", newline="")  # a temp this call did not make is left alone
     try:
         with fh:
-            fh.write(text)
+            yield fh
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
-    return path
+
+
+def write_text(text: str, path) -> Path:
+    """Write ``text`` as UTF-8 with LF line ends to a new file ``path``, by ``new_file``."""
+    with new_file(path) as fh:
+        fh.write(text)
+    return Path(path)
 
 
 def _parse_json(text: str):
@@ -228,7 +240,7 @@ def csv_columns(open_lines, header: list[str]):
         try:
             first = next(reader, [])
             if first != header:
-                error = ParseError(f"header must be exactly {','.join(header)!r}, got {','.join(first)!r}", line=1)
+                error = ParseError(f"header must be exactly {','.join(header)!r}, got {echo(','.join(first))}", line=1)
             else:
                 extend = cells.extend
                 for row in reader:
@@ -282,7 +294,7 @@ def parse_cells(columns, header, kinds, array=False):
                     raise ValueError(cell)
         except ValueError:
             if fault is None or row < fault[0]:
-                fault = row, f"{name} {cells[row]!r} is not {'an integer' if kind is int else 'a number'}"
+                fault = row, f"{name} {echo(cells[row])} is not {'an integer' if kind is int else 'a number'}"
     return ([column[:fault[0]] for column in parsed] if fault else parsed), fault
 
 
@@ -319,7 +331,7 @@ def _load_json(path: Path) -> ResearcherProfile:
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
     if type(version) is not int or version != SCHEMA_VERSION:  # a JSON true or 1.0 is not 1
-        raise SchemaError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+        raise SchemaError(f"unsupported schema_version {echo(version)} (expected {SCHEMA_VERSION})")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("profile 'name' must be a nonempty string")
@@ -344,34 +356,41 @@ def write_profile(profile: ResearcherProfile, path) -> Path:
     """Write a profile in canonical form, in the format its suffix names;
     reloading yields an equal profile."""
     path = Path(path)
+    suffix = _profile_format(path)
     rows = list(zip(profile.pub_ids, profile.years.tolist(), profile.citations.tolist()))
-    if _profile_format(path) == ".csv":
-        text = csv_text([CSV_HEADER, *rows])
-    else:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "name": profile.name,
-            "tags": list(profile.tags),
-            "publications": [
-                {"id": pub_id, "year": year, "citations": citations} for pub_id, year, citations in rows
-            ],
-        }
-        text = json.dumps(doc, indent=2) + "\n"
-    return write_text(text, path)
+    with new_file(path) as fh:
+        if suffix == ".csv":
+            write_csv(fh, [CSV_HEADER, *rows])
+        else:
+            doc = {
+                "schema_version": SCHEMA_VERSION,
+                "name": profile.name,
+                "tags": list(profile.tags),
+                "publications": [
+                    {"id": pub_id, "year": year, "citations": citations} for pub_id, year, citations in rows
+                ],
+            }
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+    return path
+
+
+def write_csv(fh, rows: list) -> None:
+    """Write the list ``rows`` to the text handle ``fh`` as CSV with LF line ends.
+
+    ``csv.writer`` quotes a cell holding a comma, a quote or an LF but leaves
+    a lone CR bare, which ``csv.reader`` takes for a line end; so when some
+    text cell holds a CR, every text cell is quoted.
+    """
+    has_cr = any("\r" in cell for cell in chain.from_iterable(rows) if isinstance(cell, str))
+    quoting = csv.QUOTE_NONNUMERIC if has_cr else csv.QUOTE_MINIMAL
+    csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
 
 
 def csv_text(rows: list) -> str:
-    """CSV text, with LF line ends, of the list ``rows``.
-
-    ``csv.writer`` quotes a cell holding a comma, a quote or an LF but leaves
-    a lone CR bare, which ``csv.reader`` takes for a line end; text holding a
-    CR is therefore written again from ``rows`` with every text cell quoted.
-    """
-    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC):
-        out = io.StringIO()
-        csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
-        if "\r" not in out.getvalue():
-            break
+    """``write_csv`` of the list ``rows``, as a string."""
+    out = io.StringIO()
+    write_csv(out, rows)
     return out.getvalue()
 
 
@@ -413,7 +432,7 @@ def load_manifest(path) -> list[ManifestEntry]:
         if stem in name_by_stem:
             raise ValidationError(
                 f"manifest names must give unique file stems: "
-                f"{name_by_stem[stem]!r} and {entry.name!r} both give {stem!r}"
+                f"{echo(name_by_stem[stem])} and {echo(entry.name)} both give {echo(stem)}"
             )
         name_by_stem[stem] = entry.name
     return entries
@@ -450,19 +469,19 @@ class SynthSpec:
 
     def __post_init__(self):
         if self.model not in ("powerlaw", "uniform", "equal"):
-            raise BadSpec(f"unknown model {self.model!r}")
+            raise BadSpec(f"unknown model {echo(self.model)}")
         if not isinstance(self.span_years, (tuple, list)) or len(self.span_years) != 2:
-            raise BadSpec(f"span_years must be a (first, last) pair, got {self.span_years!r}")
+            raise BadSpec(f"span_years must be a (first, last) pair, got {echo(self.span_years)}")
         if not isinstance(self.exponent, (int, float)):
-            raise BadSpec(f"exponent must be a real number, got {self.exponent!r}")
+            raise BadSpec(f"exponent must be a real number, got {echo(self.exponent)}")
         first, last = self.span_years
         ints = {"n_papers": self.n_papers, "span_years[0]": first, "span_years[1]": last,
                 "seed": self.seed, "value": self.value}
         for field, value in ints.items():
             if type(value) is not int:  # a bool or a float would be truncated, or fail inside numpy
-                raise BadSpec(f"{field} must be an int, got {value!r}")
+                raise BadSpec(f"{field} must be an int, got {echo(value)}")
         if not 1 <= self.n_papers <= MAX_SYNTH_PAPERS:
-            raise BadSpec(f"n_papers must be in [1, {MAX_SYNTH_PAPERS}], got {self.n_papers}")
+            raise BadSpec(f"n_papers must be in [1, {MAX_SYNTH_PAPERS}], got {echo(self.n_papers)}")
         if not math.isfinite(self.exponent):
             raise BadSpec(f"exponent must be finite, got {self.exponent}")
         if self.model == "powerlaw" and self.exponent <= 1.0:
@@ -473,15 +492,15 @@ class SynthSpec:
                 f"got ({first}, {last})"
             )
         if not 0 <= self.value <= MAX_CITATIONS:
-            raise BadSpec(f"value must be in [0, {MAX_CITATIONS}], got {self.value}")
+            raise BadSpec(f"value must be in [0, {MAX_CITATIONS}], got {echo(self.value)}")
         if self.seed < 0:
-            raise BadSpec(f"seed must be nonnegative, got {self.seed}")
+            raise BadSpec(f"seed must be nonnegative, got {echo(self.seed)}")
 
 
 def synth_profile(spec: SynthSpec, name: str | None = None) -> ResearcherProfile:
     """Generate a synthetic profile; identical specs yield identical profiles."""
     if name is not None and (not name or _has_surrogate(name)):  # load_profile refuses an empty name
-        raise BadSpec(f"name must be a nonempty string encodable as UTF-8, got {name!r}")
+        raise BadSpec(f"name must be a nonempty string encodable as UTF-8, got {echo(name)}")
     rng = np.random.default_rng(spec.seed)
     first, last = spec.span_years
     years = rng.integers(first, last + 1, size=spec.n_papers)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._lazy import np
-from .errors import EmptyProfile, ValidationError
+from .errors import EmptyProfile, ValidationError, echo
 
 MIN_YEAR = 1800
 
@@ -60,16 +60,16 @@ class Publication(_Row):
 
     def __new__(cls, pub_id: str, year: int, citations: int):
         if type(pub_id) is not str or not pub_id:
-            raise ValidationError(f"pub_id must be a nonempty string, got {pub_id!r}")
+            raise ValidationError(f"pub_id must be a nonempty string, got {echo(pub_id)}")
         if type(year) is not int or not MIN_YEAR <= year <= MAX_YEAR:
             raise ValidationError(
-                f"publication {pub_id!r}: year {year!r} is not a "
+                f"publication {echo(pub_id)}: year {echo(year)} is not a "
                 f"4-digit calendar year in [{MIN_YEAR}, {MAX_YEAR}]"
             )
         if type(citations) is not int or not 0 <= citations <= MAX_CITATIONS:
             raise ValidationError(
-                f"publication {pub_id!r}: citations must be an integer "
-                f"in [0, {MAX_CITATIONS}], got {citations!r}"
+                f"publication {echo(pub_id)}: citations must be an integer "
+                f"in [0, {MAX_CITATIONS}], got {echo(citations)}"
             )
         return super().__new__(cls, pub_id, year, citations)
 
@@ -131,7 +131,7 @@ class ResearcherProfile:
         ids = _cells(self.pub_ids)
         if not len(ids) == len(self.years) == len(self.citations):
             raise ValidationError(
-                f"profile {self.name!r}: columns must have equal lengths, got "
+                f"profile {echo(self.name)}: columns must have equal lengths, got "
                 f"{len(ids)} pub_ids, {len(self.years)} years and {len(self.citations)} citations"
             )
         years = _int64_column(self.years, MIN_YEAR, MAX_YEAR)
@@ -140,12 +140,12 @@ class ResearcherProfile:
             # the check fails exactly when some row breaks a rule; the first one raises
             check_rows(ids, self.years, self.citations)
         if not ids:
-            raise EmptyProfile(f"profile {self.name!r} has no publications")
+            raise EmptyProfile(f"profile {echo(self.name)} has no publications")
         if len(set(ids)) < len(ids):
             seen: set[str] = set()
             for pub_id in ids:
                 if pub_id in seen:
-                    raise ValidationError(f"duplicate pub_id {pub_id!r}")
+                    raise ValidationError(f"duplicate pub_id {echo(pub_id)}")
                 seen.add(pub_id)
         # (year, pub_id) order: the ids are ranked as Python strings, since a
         # numpy string array would drop their trailing NULs, and one sort of the

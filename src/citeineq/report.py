@@ -4,6 +4,12 @@ tables of the ``BatchResult`` that ``cli._cmd_batch`` gathers.
 All machine-readable outputs (CSV, JSON) carry full float precision via the
 shortest round-trip representation and are byte-deterministic for identical
 inputs; rounding to 2 decimals happens only in the Markdown rendering.
+
+Every file is written through ``ingest.new_file``.  The outputs whose size
+grows with the input (``write_json``'s JSON and the cohort tables) are
+encoded straight into its handle, the CSV by ``ingest.write_csv``; the
+per-profile series CSV and the plot panels are small strings of
+``ingest.csv_text``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .ingest import csv_columns, csv_text, parse_cells, read_csv, write_text
+from .ingest import csv_columns, csv_text, new_file, parse_cells, read_csv, write_csv, write_text
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -93,7 +99,12 @@ def summary_to_dict(summary: CareerSummary) -> dict:
 
 
 def write_json(payload: dict, path) -> Path:
-    return write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n", path)
+    """Encode ``payload`` as indented JSON straight into the new file ``path``;
+    a NaN or infinity raises ``ValueError``, and no file is left."""
+    with new_file(path) as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+    return Path(path)
 
 
 def write_profile_files(series: IndexSeries, summary: CareerSummary, paths: list[Path]) -> None:
@@ -185,13 +196,14 @@ def _csv_cell(value):
     return ("true" if value else "false") if isinstance(value, bool) else value
 
 
-def cohort_to_csv(batch: BatchResult) -> str:
-    """One row per summary; a cell holding a comma, quote or line break is quoted."""
+def cohort_to_csv(batch: BatchResult, fh) -> None:
+    """Write one row per summary to the text handle ``fh``; a cell holding a
+    comma, quote or line break is quoted."""
     rows = [COHORT_COLUMNS]
     for s in batch.summaries:
         row = _cohort_row(s)
         rows.append([_csv_cell(row[col]) for col in COHORT_COLUMNS])
-    return csv_text(rows)
+    write_csv(fh, rows)
 
 
 def cohort_to_json(batch: BatchResult) -> dict:
@@ -208,20 +220,24 @@ def _md_cell(text: str) -> str:
     return " ".join(text.replace("\\", "\\\\").replace("|", "\\|").splitlines())
 
 
-def cohort_to_markdown(batch: BatchResult) -> str:
-    """Two display tables (career indices, crossing proxy), 2-decimal floats."""
+def cohort_to_markdown(batch: BatchResult, fh) -> None:
+    """Write two display tables (career indices, crossing proxy), with 2-decimal
+    floats, to the text handle ``fh``, a line at a time."""
 
     def f2(x: float) -> str:
         return f"{x:.2f}"
 
-    out = ["# Cohort inequality indices", ""]
-    out.append(
+    def put(*lines: str) -> None:
+        print(*lines, sep="\n", file=fh)
+
+    put("# Cohort inequality indices", "")
+    put(
         "| Researcher | Tags | N_pubs | N_cites | h | g (overall) | k (overall) "
         "| g (yearly av.) | k (yearly av.) | Crossed |"
     )
-    out.append("|---|---|---|---|---|---|---|---|---|---|")
+    put("|---|---|---|---|---|---|---|---|---|---|")
     for s in batch.summaries:
-        out.append(
+        put(
             f"| {_md_cell(s.name)} | {_md_cell(';'.join(s.tags))} "
             f"| {s.n_pubs} | {s.n_cites} | {s.h_index} "
             f"| {f2(s.g_overall)} | {f2(s.k_overall)} "
@@ -229,24 +245,23 @@ def cohort_to_markdown(batch: BatchResult) -> str:
             f"| {f2(s.yearly.mean_k)} ± {f2(s.yearly.sd_k)} "
             f"| {s.crossing.classification} |"
         )
-    out += ["", "# Peak-citation ratio indicator", ""]
-    out.append("| Researcher | max citations | cites/paper | peak ratio | flagged | Crossed |")
-    out.append("|---|---|---|---|---|---|")
+    put("", "# Peak-citation ratio indicator", "")
+    put("| Researcher | max citations | cites/paper | peak ratio | flagged | Crossed |")
+    put("|---|---|---|---|---|---|")
     for s in batch.summaries:
-        out.append(
+        put(
             f"| {_md_cell(s.name)} | {s.max_citations} | {f2(s.cites_per_paper)} "
             f"| {f2(s.peak_ratio)} | {'yes' if s.soc_flagged else 'no'} "
             f"| {s.crossing.classification} |"
         )
     agg = batch.aggregates
-    out += ["", "## Aggregates", ""]
+    put("", "## Aggregates", "")
     n_flagged_rate = agg.get("flagged_success_rate")
-    out.append(f"- profiles analyzed: {agg.get('n_profiles', 0)} (failures: {agg.get('n_failures', 0)})")
+    put(f"- profiles analyzed: {agg.get('n_profiles', 0)} (failures: {agg.get('n_failures', 0)})")
     if "fraction_crossing_yes" in agg:
-        out.append(f"- fraction with crossing = Yes: {f2(agg['fraction_crossing_yes'])}")
-        out.append(f"- flag/crossing agreement: {f2(agg['flag_crossing_agreement'])}")
-        out.append(
+        put(f"- fraction with crossing = Yes: {f2(agg['fraction_crossing_yes'])}")
+        put(f"- flag/crossing agreement: {f2(agg['flag_crossing_agreement'])}")
+        put(
             "- crossing rate among flagged: "
             + (f2(n_flagged_rate) if n_flagged_rate is not None else "n/a")
         )
-    return "\n".join(out) + "\n"

@@ -38,7 +38,7 @@ class SocConfig:
                 raise ValidationError(f"{name} must be finite, got {value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CrossingResult:
     """Outcome of the crossing rule over a window series.
 
@@ -54,7 +54,7 @@ class CrossingResult:
     min_gap: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CareerSummary:
     """Whole-career statistics plus the windowed crossing outcome."""
 

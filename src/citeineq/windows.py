@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from ._lazy import np
-from .errors import AllSkipped, NoWindows, ValidationError
+from .errors import AllSkipped, NoWindows, ValidationError, echo
 from .lorenz import IndexPair, index_pairs
 from .profiles import MAX_YEAR, MIN_YEAR, ResearcherProfile
 
@@ -45,12 +45,12 @@ class WindowConfig:
         for name in ("width_years", "stride_years", "end_year", "min_pubs"):
             value = getattr(self, name)
             if type(value) is not int:  # a float width would give central years such as 2002.0
-                raise ValidationError(f"{name} must be an int, got {value!r}")
+                raise ValidationError(f"{name} must be an int, got {echo(value)}")
         for name in ("width_years", "stride_years", "min_pubs"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be a positive integer")
         if not MIN_YEAR <= self.end_year <= MAX_YEAR:
-            raise ValidationError(f"end_year must be in [{MIN_YEAR}, {MAX_YEAR}], got {self.end_year}")
+            raise ValidationError(f"end_year must be in [{MIN_YEAR}, {MAX_YEAR}], got {echo(self.end_year)}")
 
 
 @dataclass(frozen=True)
@@ -74,20 +74,20 @@ class WindowEntry:
 
     def __post_init__(self):
         if self.n_pubs < 0 or self.n_cites < 0:
-            raise ValidationError(f"n_pubs and n_cites must not be negative, got {self.n_pubs}, {self.n_cites}")
+            raise ValidationError(f"n_pubs and n_cites must not be negative, got {echo(self.n_pubs)}, {echo(self.n_cites)}")
         if self.reason is not None:
             if self.reason not in SKIP_REASONS:
-                raise ValidationError(f"skip reason must be one of {', '.join(SKIP_REASONS)}, got {self.reason!r}")
+                raise ValidationError(f"skip reason must be one of {', '.join(SKIP_REASONS)}, got {echo(self.reason)}")
             if self.g is not None or self.k is not None:
                 raise ValidationError("skipped row has g or k")
         elif self.g is None or self.k is None:
             raise ValidationError("non-skipped row missing g or k")
         elif not (0.0 <= self.g <= 1.0 and 0.0 <= self.k <= 1.0):  # also false for nan
-            raise ValidationError(f"g and k must lie in [0, 1], got {self.g!r}, {self.k!r}")
+            raise ValidationError(f"g and k must lie in [0, 1], got {echo(self.g)}, {echo(self.k)}")
         signs, rule = _COUNT_RULES[self.reason]
         if (self.n_pubs > 0, self.n_cites > 0) not in signs:
             raise ValidationError(
-                f"{self.reason or 'non-skipped'} row needs {rule}, got {self.n_pubs}, {self.n_cites}")
+                f"{self.reason or 'non-skipped'} row needs {rule}, got {echo(self.n_pubs)}, {echo(self.n_cites)}")
 
     @property
     def skipped(self) -> bool:
@@ -109,7 +109,7 @@ class IndexSeries:
         for row in range(1, len(years)):
             if years[row] <= years[row - 1]:
                 raise ValidationError(
-                    f"central_year must ascend, but {years[row]} follows {years[row - 1]}", row=row)
+                    f"central_year must ascend, but {echo(years[row])} follows {echo(years[row - 1])}", row=row)
 
     def valid_entries(self) -> list[WindowEntry]:
         return [e for e in self.entries if e.reason is None]
@@ -119,7 +119,7 @@ class IndexSeries:
         return [IndexPair(e.g, e.k) for e in self.valid_entries()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class YearlyAverage:
     """Mean and population standard deviation of g and k over valid windows,
     each the double nearest its exact value."""

@@ -20,6 +20,7 @@ from citeineq import (
     SynthSpec,
     WindowEntry,
     cli,
+    errors,
     fit_k_vs_g,
     load_profile,
     report,
@@ -939,6 +940,56 @@ class TestLineBreakInMessage:
         code, out, err = run(capsys, "analyze", tmp_path / "a\\nb.csv", "--out", tmp_path / "out")
         assert code == 1
         assert err == f"error: ParseError: profile file not found: {tmp_path}/a\\nb.csv\n"
+
+
+class TestLongInputInMessage:
+    """An error line repeats at most ``ECHO_LIMIT`` characters of an input
+    value's ``repr``, then its length; a 5,000-character value gave a line
+    of more than 5,000 characters."""
+
+    LONG = 5000
+    CUT = f"... ({LONG + 2} characters)"  # the repr of a str adds its two quotes
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("cell.csv", f"pub_id,year,citations\np1,2001,{'1' * LONG}\n"),
+            ("id.csv", f"pub_id,year,citations\n{'x' * LONG},1700,3\n"),
+            ("dup.csv", f"pub_id,year,citations\n{'x' * LONG},2001,3\n{'x' * LONG},2002,3\n"),
+            ("header.csv", f"{'h' * LONG}\np1,2001,3\n"),
+            ("version.json", json.dumps({"schema_version": "v" * LONG})),
+        ],
+        ids=["count-cell", "pub-id", "duplicate-pub-id", "header", "schema-version"],
+    )
+    def test_analyze(self, tmp_path, capsys, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "analyze", path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 1 and len(err) < 300
+        assert self.CUT in err
+
+    def test_series_cell(self, tmp_path, capsys):
+        series_path = tmp_path / "s.csv"
+        series_path.write_text(f"central_year,g,k,n_pubs,n_cites,skipped\n2000,,,5,50,{'z' * self.LONG}\n")
+        code, out, err = run(capsys, "fit", series_path, "--out", tmp_path / "out")
+        assert code == 1
+        assert err.count("\n") == 1 and len(err) < 300 + len(str(series_path))
+        assert self.CUT in err
+
+    def test_manifest_name(self, tmp_path, capsys):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps([{"name": "|" * self.LONG, "path": "ghost.csv"}]))
+        code, out, err = run(capsys, "batch", manifest, "--out", tmp_path / "out")
+        assert code == 1
+        first = err.splitlines()[0]
+        assert first.startswith("error: ParseError: profile '|||") and len(first) < 300 + len(str(tmp_path))
+        assert self.CUT in first
+
+    def test_value_at_the_limit_is_whole(self):
+        assert errors.echo("a" * (errors.ECHO_LIMIT - 2)) == repr("a" * (errors.ECHO_LIMIT - 2))
+        longer = "a" * (errors.ECHO_LIMIT - 1)
+        assert errors.echo(longer) == f"{repr(longer)[:errors.ECHO_LIMIT]}... ({errors.ECHO_LIMIT + 1} characters)"
 
 
 class TestOneLineErrorInAFreshProcess:

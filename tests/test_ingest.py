@@ -1,6 +1,7 @@
 """Profile file loading, canonical export, manifests, and synthesis."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -27,7 +28,7 @@ from citeineq import (
     synth_profile,
     write_profile,
 )
-from citeineq import ingest
+from citeineq import ingest, report
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from helpers import gini_pairwise, profile_of, row_by_row_load, row_by_row_profile
 
@@ -673,6 +674,99 @@ class TestCsvText:
 
     def test_text_with_a_cr_quotes_every_text_cell(self):
         assert ingest.csv_text([["a", 1], ["b\rc", 2]]) == '"a",1\n"b\rc",2\n'
+
+
+def two_pass_csv_text(rows) -> str:
+    """CSV text of ``rows`` by the rule of writing twice: once with minimal
+    quoting, and again with every text cell quoted if that text holds a CR."""
+    for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_NONNUMERIC):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n", quoting=quoting).writerows(rows)
+        if "\r" not in out.getvalue():
+            break
+    return out.getvalue()
+
+
+csv_cells = (
+    st.lists(st.sampled_from(["a", "é", " ", ",", '"', "\r", "\n", "\r\n", "1"]), max_size=6).map("".join)
+    | st.none()
+    | st.integers()
+    | st.floats()
+)
+json_payloads = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30,
+)
+
+
+class TestStreamedWrites:
+    """Every output is encoded straight into the temporary file of ``new_file``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(csv_cells, max_size=5), max_size=6))
+    @example([["a", 1], ["b\rc", None, 2.5]])  # a CR quotes every text cell, and None as ""
+    def test_csv_matches_the_two_pass_rule(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with ingest.new_file(path) as fh:
+            ingest.write_csv(fh, rows)
+        assert path.read_bytes() == two_pass_csv_text(rows).encode("utf-8")
+        assert ingest.csv_text(rows) == two_pass_csv_text(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_payloads)
+    def test_json_matches_dumps(self, tmp_path_factory, payload):
+        path = report.write_json(payload, tmp_path_factory.mktemp("json") / "t.json")
+        assert path.read_bytes() == (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode("utf-8")
+
+    def test_json_is_not_held_whole(self, tmp_path):
+        # as one string the encoder's chunks and the text took about 9 MB above
+        # this payload; streamed, the traced peak is about 0.07 MB
+        row = {"name": "Researcher", "tags": "a;b", "n_pubs": 300, "g_overall": 0.6123456789012345,
+               "crossing_years": [1999, 2004], "soc_flagged": False}
+        payload = {"rows": [dict(row, n_pubs=i, k_overall=i / 7) for i in range(5600)], "aggregates": {}}
+        assert 1.3e6 < len(json.dumps(payload, indent=2)) < 1.5e6
+        tracemalloc.start()
+        try:
+            report.write_json(payload, tmp_path / "cohort.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+
+    def test_json_failing_deep_in_the_payload_leaves_no_file(self, tmp_path):
+        path = tmp_path / "cohort.json"
+        payload = {"rows": [{"g": i / 3} for i in range(5000)] + [{"g": float("nan")}]}
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            report.write_json(payload, path)
+        assert list(tmp_path.iterdir()) == []
+        report.write_json({"rows": []}, path)
+        assert path.read_text() == '{\n  "rows": []\n}\n'
+
+    def test_write_failing_mid_stream_leaves_no_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "p.csv"
+        profile = synth_profile(SynthSpec(model="uniform", n_papers=5000, seed=3))
+        real_open = open
+
+        def open_failing_after_a_write(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            write, calls = fh.write, iter(range(2))
+
+            def write_once(text):
+                if next(calls, None) is None:
+                    raise OSError("disk full")
+                return write(text)
+
+            fh.write = write_once
+            return fh
+
+        monkeypatch.setattr(ingest, "open", open_failing_after_a_write, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            write_profile(profile, path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        write_profile(profile, path)
+        assert load_profile(path) == dataclasses.replace(profile, name="p", tags=[])
 
 
 class TestManifest:
