@@ -73,13 +73,13 @@ def main() -> int:
         if code != 0:
             return code
 
-    fit = json.loads((args.out / "powerlaw-02_series_fit.json").read_text())
+    fit = json.loads((args.out / "powerlaw-02_series_fit.json").read_text(encoding="utf-8"))
     print()
     print(f"fitted slope c = {fit['c']:.4f} over {fit['n_points']} windows")
     g_star = fit["g_star"]
     print(f"extrapolated g = k crossing at {g_star:.4f}" if g_star else "slope >= 1, no crossing")
     print()
-    print((args.out / "cohort.md").read_text())
+    print((args.out / "cohort.md").read_text(encoding="utf-8"))
     return 0
 
 

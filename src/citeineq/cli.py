@@ -30,7 +30,6 @@ from .ingest import (
     new_file,
     synth_profile,
     write_profile,
-    write_text,
 )
 from .landau import fit_k_vs_g
 from .report import (
@@ -122,8 +121,12 @@ def _cmd_plotdata(args: argparse.Namespace) -> int:
     check_outputs([timepanel, inset])
     series = read_series_csv(args.series)
     fit = fit_k_vs_g(series.pairs())
-    print(write_text(timepanel_csv(series, args.soc_mark), timepanel))
-    print(write_text(inset_csv(series, fit), inset))
+    with new_file(timepanel) as fh:
+        timepanel_csv(series, args.soc_mark, fh)
+    print(timepanel)
+    with new_file(inset) as fh:
+        inset_csv(series, fit, fh)
+    print(inset)
     return EXIT_OK
 
 

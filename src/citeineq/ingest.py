@@ -9,13 +9,13 @@ Two on-disk profile formats are accepted:
 
 Either format is read as columns, which go straight to
 ``ResearcherProfile``; it checks the row rules once over each whole column,
-and no per-row object is built for a valid file.  A CSV file is streamed
-through the one ``csv.reader`` loop, ``csv_columns``, and its cells are read
-by the one cell grammar, ``parse_cells``, which the series reader shares:
-once stripped, an integer is an optional ``-`` and ASCII digits.  A row the
-profile refuses is reported by its JSON ``publications`` index or its CSV
-line, which ``csv.reader`` counts only then, by reading the file again.  A
-JSON profile and a manifest are each read whole.
+and no per-row object is built for a valid file.  A CSV file is streamed by
+``read_csv`` and its cells are read by the one cell grammar, ``parse_cells``,
+which the series reader shares: once stripped, an integer is an optional
+``-`` and ASCII digits.  A row the profile refuses is reported by its JSON
+``publications`` index or its CSV line, which ``csv.reader`` counts only
+then, by reading the file again.  A JSON profile and a manifest are each
+read whole by ``read_json``.
 A fault in the file's structure (a CSV cell that is not an integer, a
 malformed CSV row, a JSON record without the three keys) is reported only
 when the rows above it keep the row rules; within a row, a CSV cell that is
@@ -27,20 +27,18 @@ output file stems.  There is deliberately no network ingestion; snapshots
 must be exported to files first.  Every input file is read as UTF-8 with an
 optional BOM; undecodable bytes anywhere in it raise ``ParseError``.
 
-This module also holds the package's one CSV reader (``csv_columns``), which
-reads profile and series CSVs, its CSV writer (``write_csv``) and its file
-writer (``new_file``), which every output goes through and which never
-replaces an existing file.  An output that grows with the input is encoded
-straight into the temporary file that ``new_file`` renames into place, and is
-never held whole as text; ``write_text`` and ``csv_text`` serve the small,
-fixed-size ones.  Every command first checks all its output paths with
-``check_outputs``.
+This module holds the package's file I/O: its two readers, ``read_csv`` for
+profile and series CSVs and ``read_json`` for JSON documents, and its one
+writer, ``new_file``, which never replaces an existing file.  Every output
+is encoded straight into the temporary file that ``new_file`` publishes, a
+CSV by ``write_csv``, and is never held whole as text.  Every command first
+checks all its output paths with ``check_outputs``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import errno
 import json
 import math
 import os
@@ -63,6 +61,9 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 #: Profile file suffixes; the suffix picks the format for reading and writing.
 PROFILE_SUFFIXES = (".csv", ".json")
+
+#: The errors ``os.link`` gives on a file system without hard links.
+_NO_HARD_LINKS = {errno.EPERM, errno.ENOTSUP, errno.EOPNOTSUPP}
 
 
 def load_profile(path) -> ResearcherProfile:
@@ -100,32 +101,86 @@ def _input_file(path, what: str) -> Path:
     return path
 
 
-def read_text(path, what: str) -> str:
-    """Read a whole UTF-8 file, dropping a leading BOM; only JSON documents
-    (profiles and manifests) are read this way, and CSV files are streamed.
+def read_json(path, what: str):
+    """The JSON document of a UTF-8 file, dropping a leading BOM; profiles and
+    manifests are read this way, each whole.
 
-    A path that is not a regular file, or undecodable bytes, raise
-    ``ParseError`` naming ``what``.
+    A path that is not a regular file, undecodable bytes, or text that is not
+    JSON raise ``ParseError``; ``what`` names the file in the first.
     """
-    return _read_file(_input_file(path, what))
-
-
-def _read_file(path: Path) -> str:
-    """``read_text`` of a path already known to be a regular file."""
+    path = _input_file(path, what)
     with _utf8(path), open(path, encoding="utf-8-sig") as fh:
-        return fh.read()
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+        # an unpaired surrogate cannot be written out as UTF-8; most files hold
+        # no backslash, and that test is far cheaper than the regex
+        if "\\" in text and _SURROGATE_ESCAPE.search(text):
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
+    except UnicodeEncodeError:
+        raise ParseError("invalid JSON: a string holds an unpaired surrogate escape") from None
+    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
+        raise ParseError(f"invalid JSON: {exc}") from None
 
 
 def read_csv(path, what: str, header: list[str]):
-    """``csv_columns`` of a UTF-8 file, dropping a leading BOM, streamed from
-    the file and opened again by ``line``.
+    """Read the CSV rows of a UTF-8 file after ``header`` into one list of
+    cells per header cell, dropping a leading BOM.
+
+    The file is read untranslated (``newline=""``), so that a line ends at
+    ``\\r\\n``, a lone ``\\r`` or a lone ``\\n`` and a quoted cell keeps its
+    line breaks as written; its rows are streamed line by line, so it is never
+    held whole.  The first row must be exactly ``header``; blank lines are
+    skipped.  Returns ``(columns, line, error)``:
+
+    * ``line(row)`` is ``csv.reader``'s ``line_num`` after the row with index
+      ``row``: the line it ends on.  No line number is kept per row; the call
+      opens the file again and reads it up to that row, so only error paths
+      make it.
+    * ``error`` is the ``ParseError`` of a wrong header, of a row without
+      ``len(header)`` cells or of malformed CSV, which ends the rows read;
+      the rest of the file is still decoded.  The caller raises ``error``
+      only after the rows above it.  Else it is None.
 
     A path that is not a regular file, or undecodable bytes anywhere in the
-    file, raise ``ParseError`` naming ``what``.
+    file, raise ``ParseError``; ``what`` names the file in the first.  Each
+    stream is closed before the call that opened it returns.
     """
     path = _input_file(path, what)
-    with _utf8(path):
-        return csv_columns(lambda: open(path, encoding="utf-8-sig", newline=""), header)
+    width = len(header)
+    cells, error = [], None
+    with _utf8(path), open(path, encoding="utf-8-sig", newline="") as lines:
+        reader = csv.reader(lines)
+        try:
+            first = next(reader, [])
+            if first != header:
+                error = ParseError(f"header must be exactly {','.join(header)!r}, got {echo(','.join(first))}", line=1)
+            else:
+                extend = cells.extend
+                for row in reader:
+                    if len(row) == width:
+                        extend(row)
+                    elif row:
+                        error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
+                        break
+        except csv.Error as exc:
+            error = ParseError(str(exc), line=reader.line_num)
+        if error is not None:
+            while lines.read(1 << 16):  # decode the rest of the file, a chunk at a time
+                pass
+    columns = [cells[i::width] for i in range(width)]
+    del cells
+
+    def line(row: int) -> int:
+        with open(path, encoding="utf-8-sig", newline="") as lines:
+            again = csv.reader(lines)
+            next(islice(filter(None, again), row + 1, None))  # the header, then rows 0 to row
+            return again.line_num
+
+    return columns, line, error
 
 
 @contextmanager
@@ -168,10 +223,12 @@ def new_file(path):
     the line ends written.
 
     An existing ``path`` is refused.  The handle writes a temporary file in the
-    same directory, which is renamed onto ``path`` when the ``with`` block ends
-    cleanly; any exception removes it, so ``path`` is either absent or
-    complete.  There is no fsync: the file is complete after a crash of this
-    program, not of the machine.
+    same directory, which is hard-linked as ``path`` when the ``with`` block
+    ends cleanly, so a file that appeared at ``path`` meanwhile is refused, not
+    replaced; where the file system has no hard links, the temporary file is
+    renamed onto ``path`` instead.  The temporary file is always removed, so
+    ``path`` is either absent or complete.  There is no fsync: the file is
+    complete after a crash of this program, not of the machine.
     """
     path = Path(path)
     if os.path.lexists(path):
@@ -182,92 +239,20 @@ def new_file(path):
     try:
         with fh:
             yield fh
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
-
-
-def write_text(text: str, path) -> Path:
-    """Write ``text`` as UTF-8 with LF line ends to a new file ``path``, by ``new_file``."""
-    with new_file(path) as fh:
-        fh.write(text)
-    return Path(path)
-
-
-def _parse_json(text: str):
-    try:
-        doc = json.loads(text)
-        # an unpaired surrogate cannot be written out as UTF-8; most files hold
-        # no backslash, and that test is far cheaper than the regex
-        if "\\" in text and _SURROGATE_ESCAPE.search(text):
-            json.dumps(doc, ensure_ascii=False).encode("utf-8")
-        return doc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from None
-    except UnicodeEncodeError:
-        raise ParseError("invalid JSON: a string holds an unpaired surrogate escape") from None
-    except (ValueError, RecursionError) as exc:  # an over-long integer, too deep nesting
-        raise ParseError(f"invalid JSON: {exc}") from None
-
-
-def csv_columns(open_lines, header: list[str]):
-    """Read the CSV rows after ``header`` into one list of cells per header cell.
-
-    ``open_lines()`` opens the text as a stream read untranslated
-    (``newline=""``), so that a line ends at ``\\r\\n``, a lone ``\\r`` or a
-    lone ``\\n`` and a quoted cell keeps its line breaks as written; the rows
-    are read from it line by line, so a file is never held whole.  The
-    first row must be exactly ``header``; blank lines are skipped.  Returns
-    ``(columns, line, error)``:
-
-    * ``line(row)`` is ``csv.reader``'s ``line_num`` after the row with index
-      ``row``: the line it ends on.  No line number is kept per row; the call
-      opens the text again and reads it up to that row, so only error paths
-      make it.
-    * ``error`` is the ``ParseError`` of a wrong header, of a row without
-      ``len(header)`` cells or of malformed CSV, which ends the rows read;
-      the rest of the stream is still read, so that an undecodable byte
-      anywhere raises ``UnicodeDecodeError``.  The caller raises ``error``
-      only after the rows above it.  Else it is None.
-
-    Every stream opened is closed before the call returns.
-    """
-    width = len(header)
-    cells, error = [], None
-    with open_lines() as lines:
-        reader = csv.reader(lines)
         try:
-            first = next(reader, [])
-            if first != header:
-                error = ParseError(f"header must be exactly {','.join(header)!r}, got {echo(','.join(first))}", line=1)
-            else:
-                extend = cells.extend
-                for row in reader:
-                    if len(row) == width:
-                        extend(row)
-                    elif row:
-                        error = ParseError(f"expected {width} fields, got {len(row)}", line=reader.line_num)
-                        break
-        except csv.Error as exc:
-            error = ParseError(str(exc), line=reader.line_num)
-        if error is not None:
-            while lines.read(1 << 16):  # decode the rest of the stream, a chunk at a time
-                pass
-    columns = [cells[i::width] for i in range(width)]
-    del cells
-
-    def line(row: int) -> int:
-        with open_lines() as lines:
-            again = csv.reader(lines)
-            next(islice(filter(None, again), row + 1, None))  # the header, then rows 0 to row
-            return again.line_num
-
-    return columns, line, error
+            os.link(temp, path)
+        except FileExistsError:
+            raise ValidationError(f"output file already exists: {path}") from None
+        except OSError as exc:
+            if exc.errno not in _NO_HARD_LINKS:
+                raise
+            os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def parse_cells(columns, header, kinds, array=False):
-    """Parse the columns of ``csv_columns`` by the one cell grammar of the CSV readers.
+    """Parse the columns of ``read_csv`` by the one cell grammar of the CSV readers.
 
     A kind of None keeps each cell as written; the others read it once
     ``str.strip`` has removed its padding.  ``int``: an optional ``-`` and
@@ -326,7 +311,7 @@ def _load_csv(path: Path) -> ResearcherProfile:
 
 
 def _load_json(path: Path) -> ResearcherProfile:
-    doc = _parse_json(_read_file(path))  # load_profile has checked the path
+    doc = read_json(path, "profile")
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")
@@ -387,13 +372,6 @@ def write_csv(fh, rows: list) -> None:
     csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(rows)
 
 
-def csv_text(rows: list) -> str:
-    """``write_csv`` of the list ``rows``, as a string."""
-    out = io.StringIO()
-    write_csv(out, rows)
-    return out.getvalue()
-
-
 @dataclass(frozen=True)
 class ManifestEntry:
     name: str
@@ -404,7 +382,7 @@ class ManifestEntry:
 def load_manifest(path) -> list[ManifestEntry]:
     """Load a cohort manifest; entry paths resolve relative to the manifest."""
     path = Path(path)
-    doc = _parse_json(read_text(path, "manifest"))
+    doc = read_json(path, "manifest")
     if not isinstance(doc, list):
         raise ParseError("manifest must be a JSON array of {name, path, tags}")
     entries = []

@@ -5,22 +5,20 @@ All machine-readable outputs (CSV, JSON) carry full float precision via the
 shortest round-trip representation and are byte-deterministic for identical
 inputs; rounding to 2 decimals happens only in the Markdown rendering.
 
-Every file is written through ``ingest.new_file``.  The outputs whose size
-grows with the input (``write_json``'s JSON and the cohort tables) are
-encoded straight into its handle, the CSV by ``ingest.write_csv``; the
-per-profile series CSV and the plot panels are small strings of
-``ingest.csv_text``.
+A series CSV is read by ``ingest.read_csv``.  Every file is written through
+``ingest.new_file``, and every output is encoded straight into its handle:
+the CSVs by ``ingest.write_csv``, the JSON by ``write_json`` and the
+Markdown a line at a time.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .ingest import csv_columns, csv_text, new_file, parse_cells, read_csv, write_csv, write_text
+from .ingest import new_file, parse_cells, read_csv, write_csv
 from .landau import FitResult
 from .soc import CROSS_YES, CareerSummary, SocConfig, career_summary
 from .windows import IndexSeries, WindowConfig, WindowEntry, window_series
@@ -34,26 +32,19 @@ INSET_LINE_SAMPLES = 50
 
 # --- index series ----------------------------------------------------------
 
-def series_to_csv(series: IndexSeries) -> str:
+def series_to_csv(series: IndexSeries, fh) -> None:
+    """Write the series as CSV to the text handle ``fh``, one row per entry."""
     rows = [SERIES_COLUMNS]
     rows += [[e.central_year, e.g, e.k, e.n_pubs, e.n_cites, e.reason] for e in series.entries]
-    return csv_text(rows)
-
-
-def series_from_csv(text: str, source: str = "<series>") -> IndexSeries:
-    """Parse series CSV text, its cells by ``ingest.parse_cells``' grammar; ``WindowEntry``
-    checks each row's values, and ``IndexSeries`` then that the central years ascend."""
-    return _series(*csv_columns(lambda: io.StringIO(text, newline=""), SERIES_COLUMNS), source)
+    write_csv(fh, rows)
 
 
 def read_series_csv(path) -> IndexSeries:
-    """``series_from_csv`` of a UTF-8 file, streamed from it by ``read_csv``;
-    the line named in an error is found by reading the file again."""
-    return _series(*read_csv(path, "series", SERIES_COLUMNS), str(path))
-
-
-def _series(columns, line, error, source: str) -> IndexSeries:
-    """The series of what ``csv_columns`` returns; ``source`` names the text in errors."""
+    """Read a series CSV file, streamed by ``ingest.read_csv``, its cells by
+    ``ingest.parse_cells``' grammar; ``WindowEntry`` checks each row's values,
+    and ``IndexSeries`` then that the central years ascend.  The line named
+    in an error is found by reading the file again."""
+    columns, line, error = read_csv(path, "series", SERIES_COLUMNS)
     columns, fault = parse_cells(columns, SERIES_COLUMNS, (int, float, float, int, int, str))
     entries = []
     for row, cells in enumerate(zip(*columns)):
@@ -63,13 +54,13 @@ def _series(columns, line, error, source: str) -> IndexSeries:
             fault = row, str(exc)
             break
     if fault is not None:  # a row that WindowEntry refuses, or else the first cell the grammar refuses
-        raise ParseError(f"{source}: {fault[1]}", line=line(fault[0]))
+        raise ParseError(f"{path}: {fault[1]}", line=line(fault[0]))
     if error is not None:  # a malformed row below the rows read
         raise error
     try:
         return IndexSeries(entries=entries)
     except ValidationError as exc:
-        raise ParseError(f"{source}: {exc}", line=line(exc.row)) from None
+        raise ParseError(f"{path}: {exc}", line=line(exc.row)) from None
 
 
 # --- career summary --------------------------------------------------------
@@ -108,7 +99,8 @@ def write_json(payload: dict, path) -> Path:
 
 
 def write_profile_files(series: IndexSeries, summary: CareerSummary, paths: list[Path]) -> None:
-    write_text(series_to_csv(series), paths[0])
+    with new_file(paths[0]) as fh:
+        series_to_csv(series, fh)
     write_json(summary_to_dict(summary), paths[1])
 
 
@@ -122,21 +114,23 @@ def analyze_profile(
     return series, career_summary(profile, series, soc)
 
 
-def timepanel_csv(series: IndexSeries, soc_mark: float) -> str:
-    """Plot-ready year panel; skipped rows keep the year axis contiguous."""
+def timepanel_csv(series: IndexSeries, soc_mark: float, fh) -> None:
+    """Write the plot-ready year panel to the text handle ``fh``; skipped rows
+    keep the year axis contiguous."""
     rows = [["year", "g", "k", "soc_mark"]]
     rows += [[e.central_year, e.g, e.k, float(soc_mark)] for e in series.entries]
-    return csv_text(rows)
+    write_csv(fh, rows)
 
 
-def inset_csv(series: IndexSeries, fit: FitResult) -> str:
-    """Plot-ready k-vs-g panel: observed points plus sampled fitted line."""
+def inset_csv(series: IndexSeries, fit: FitResult, fh) -> None:
+    """Write the plot-ready k-vs-g panel to the text handle ``fh``: observed
+    points plus sampled fitted line."""
     rows = [["kind", "g", "k"]]
     rows += [["point", pair.g, pair.k] for pair in series.pairs()]
     step = 1.0 / (INSET_LINE_SAMPLES - 1)  # the samples of np.linspace(0.0, 1.0, INSET_LINE_SAMPLES)
     line = [i * step for i in range(INSET_LINE_SAMPLES - 1)] + [1.0]
     rows += [["line", g, 0.5 + fit.c * g] for g in line]
-    return csv_text(rows)
+    write_csv(fh, rows)
 
 
 # --- cohort tables ---------------------------------------------------------

@@ -24,7 +24,7 @@ from citeineq import (
     ValidationError,
     WindowEntry,
 )
-from citeineq import ingest
+from citeineq import ingest, report
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,13 +41,24 @@ def run_python(*args, cwd=None) -> subprocess.CompletedProcess:
     package from ``src/``, and return its exit code and text output.
 
     Every warning is an error there, as pytest's ``filterwarnings`` makes it
-    here, so a warning fails the child and shows on its stderr.
+    here, so a warning fails the child and shows on its stderr; that includes
+    the ``EncodingWarning`` of a file opened in the locale's encoding.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env["PYTHONWARNINGS"] = "error"
+    env["PYTHONWARNDEFAULTENCODING"] = "1"
     return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+def reread_series(series: IndexSeries, directory: Path) -> IndexSeries:
+    """``series`` written by ``report.series_to_csv`` to a new file in
+    ``directory``, then read back by ``report.read_series_csv``."""
+    path = directory / "s.csv"
+    with ingest.new_file(path) as fh:
+        report.series_to_csv(series, fh)
+    return report.read_series_csv(path)
 
 
 def gini_pairwise(counts) -> float:
@@ -235,7 +246,7 @@ def _row_by_row_csv(fh):
 
 
 def _row_by_row_json(path: Path):
-    doc = ingest._parse_json(ingest.read_text(path, "profile"))
+    doc = ingest.read_json(path, "profile")
     if not isinstance(doc, dict):
         raise ParseError("profile document must be a JSON object")
     version = doc.get("schema_version")

@@ -2,6 +2,8 @@
 
 import argparse
 import csv
+import errno
+import io
 import json
 import os
 import re
@@ -30,7 +32,7 @@ from citeineq import (
 from citeineq.cli import build_parser, main
 from citeineq.profiles import MAX_CITATIONS, MAX_YEAR, MIN_YEAR
 from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
-from helpers import CROSSING_WINDOW, ROOT, make_profile, run_python
+from helpers import CROSSING_WINDOW, ROOT, make_profile, reread_series, run_python
 
 
 def run(capsys, *argv):
@@ -210,6 +212,60 @@ def test_output_fault_is_one_line_validation_error_before_any_write(tmp_path, ca
     before = _tree(tmp_path)
     assert run(capsys, *argv, "--out", out) == (1, "", f"error: ValidationError: {expected}\n")
     assert _tree(tmp_path) == before
+
+
+class TestPublish:
+    """An output is published from its temporary file by a hard link, which never
+    replaces a file; without hard links, by a rename."""
+
+    @staticmethod
+    def publish_with(monkeypatch, publish):
+        """Make ``publish(original, src, dst)`` stand for both ``os.link`` and ``os.replace``."""
+        for name in ("link", "replace"):
+            original = getattr(os, name)
+            monkeypatch.setattr(os, name, lambda src, dst, original=original: publish(original, src, dst))
+
+    @staticmethod
+    def argv(tmp_path, command):
+        argv = _output_argv(tmp_path, command, OUTPUT_FAULT_COMMANDS[command][0])
+        return argv + ["--markdown"] if command in ("analyze", "batch") else argv
+
+    @pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
+    def test_a_file_that_appears_before_the_publish_is_kept(self, tmp_path, capsys, monkeypatch, command):
+        def race(publish, src, dst):
+            Path(dst).write_text("kept\n", encoding="utf-8")  # made after check_outputs looked
+            return publish(src, dst)
+
+        argv, out = self.argv(tmp_path, command), tmp_path / "out"
+        self.publish_with(monkeypatch, race)
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert code == 1
+        raced = Path(re.fullmatch(r"error: ValidationError: output file already exists: (.*)\n", err)[1])
+        assert _tree(out) == {**{d.relative_to(out): None for d in raced.parents if out in d.parents},
+                              raced.relative_to(out): b"kept\n"}
+
+    @pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
+    @pytest.mark.parametrize("errno_", [errno.EPERM, errno.ENOTSUP])
+    def test_without_hard_links_the_outputs_are_the_same(self, tmp_path, capsys, monkeypatch, command, errno_):
+        def no_link(src, dst):
+            raise OSError(errno_, os.strerror(errno_))
+
+        argv = self.argv(tmp_path, command)
+        linked = run(capsys, *argv, "--out", tmp_path / "linked")
+        monkeypatch.setattr(os, "link", no_link)
+        renamed = run(capsys, *argv, "--out", tmp_path / "renamed")
+        assert linked[0] == 0 and renamed == (0, linked[1].replace(str(tmp_path / "linked"), str(tmp_path / "renamed")), "")
+        assert _tree(tmp_path / "renamed") == _tree(tmp_path / "linked")
+
+    @pytest.mark.parametrize("command", OUTPUT_FAULT_COMMANDS)
+    def test_a_failed_publish_leaves_nothing_behind(self, tmp_path, capsys, monkeypatch, command):
+        def fail(publish, src, dst):
+            raise OSError(errno.EIO, "injected")
+
+        argv, out = self.argv(tmp_path, command), tmp_path / "out"
+        self.publish_with(monkeypatch, fail)
+        assert run(capsys, *argv, "--out", out) == (1, "", "error: OSError: [Errno 5] injected\n")
+        assert all(path.is_dir() for path in out.rglob("*"))
 
 
 class TestAnalyze:
@@ -472,9 +528,9 @@ series_entries = st.one_of(
 
 
 @given(st.lists(series_entries, max_size=12, unique_by=attrgetter("central_year")))
-def test_series_csv_round_trip_is_exact(entries):
+def test_series_csv_round_trip_is_exact(tmp_path_factory, entries):
     series = IndexSeries(entries=sorted(entries, key=attrgetter("central_year")))
-    assert report.series_from_csv(report.series_to_csv(series)) == series
+    assert reread_series(series, tmp_path_factory.mktemp("series")) == series
 
 
 @pytest.mark.parametrize("command", ["fit", "plotdata"])
@@ -556,7 +612,9 @@ class TestPlotdata:
     def test_inset_line_samples_are_those_of_linspace(self):
         series = report.read_series_csv(TestInProcessReuse.SERIES)
         fit = fit_k_vs_g(series.pairs())
-        rows = [row for row in csv.reader(report.inset_csv(series, fit).splitlines()) if row[0] == "line"]
+        out = io.StringIO()
+        report.inset_csv(series, fit, out)
+        rows = [row for row in csv.reader(out.getvalue().splitlines()) if row[0] == "line"]
         g = [float(row[1]) for row in rows]
         assert g == np.linspace(0.0, 1.0, report.INSET_LINE_SAMPLES).tolist()
         assert [float(row[2]) for row in rows] == [0.5 + fit.c * x for x in g]
@@ -786,14 +844,14 @@ class TestBatch:
     def test_failed_profile_write_ends_the_run(self, tmp_path, capsys, monkeypatch):
         # an OSError from a write is the run's error, not a failure of the profile; the
         # failure line of a profile before it was printed when that profile failed
-        replace = os.replace
+        link = os.link
 
         def fail_mild_summary(src, dst):
             if Path(dst).name == "mild_summary.json":
                 raise OSError("disk full")
-            replace(src, dst)
+            link(src, dst)
 
-        monkeypatch.setattr(os, "replace", fail_mild_summary)
+        monkeypatch.setattr(os, "link", fail_mild_summary)
         manifest = build_cohort(tmp_path)
         entries = json.loads(manifest.read_text())
         manifest.write_text(json.dumps([{"name": "ghost", "path": "cohort/ghost.csv"}, *entries]))

@@ -183,15 +183,15 @@ def chunk_text(bom: bool, cut: int | None, tail: str) -> str:
     return head + "p" * lead + ",2000,1" + tail
 
 
-def read_outcome(open_lines):
-    """``csv_columns``' columns, its error's type, message and line, and every row's line."""
-    columns, line, error = ingest.csv_columns(open_lines, ingest.CSV_HEADER)
+def read_outcome(path):
+    """``read_csv``'s columns, its error's type, message and line, and every row's line."""
+    columns, line, error = ingest.read_csv(path, "profile", ingest.CSV_HEADER)
     fault = None if error is None else (type(error), str(error), error.line)
     return columns, fault, [line(row) for row in range(len(columns[0]))]
 
 
 class TestStreamedRead:
-    """``csv_columns`` over a file, read in 8 KiB chunks, against the same text in memory."""
+    """``read_csv`` over a file, read in 8 KiB chunks, against the same text in memory."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.booleans(), st.none() | st.integers(0, 40), st.lists(st.sampled_from(STREAM_CHARS), max_size=60).map("".join))
@@ -205,24 +205,28 @@ class TestStreamedRead:
         text = chunk_text(bom, cut, tail)
         path = tmp_path_factory.mktemp("stream") / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        from_file = read_outcome(lambda: open(path, encoding="utf-8-sig", newline=""))
-        assert from_file == read_outcome(lambda: io.StringIO(text.removeprefix("\ufeff"), newline=""))
+        from_file = read_outcome(path)
+        with pytest.MonkeyPatch.context() as patch:  # every open of the file gives the text in memory
+            patch.setattr(ingest, "open", lambda *args, **kwargs: io.StringIO(text.removeprefix("\ufeff"), newline=""),
+                          raising=False)
+            assert from_file == read_outcome(path)
 
     @pytest.mark.parametrize("bom, cut, tail", [(False, 1, "\r\n"), (True, 0, "\nq"), (False, 2, "😀\n")])
     def test_chunk_text_starts_the_second_chunk_at_byte_cut(self, bom, cut, tail):
         assert chunk_text(bom, cut, tail).encode()[CHUNK:] == tail.encode()[cut:]
 
     @pytest.mark.parametrize("text", ["id\np1,2001,1\n", "pub_id,year,citations\np1,2001,1\np2\n"], ids=["header", "row"])
-    def test_every_stream_is_closed(self, tmp_path, text):
+    def test_every_stream_is_closed(self, tmp_path, monkeypatch, text):
         path = tmp_path / "p.csv"
         path.write_text(text, encoding="utf-8")
         opened = []
 
-        def open_lines():
-            opened.append(open(path, encoding="utf-8", newline=""))
+        def open_recorded(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
             return opened[-1]
 
-        columns, line, error = ingest.csv_columns(open_lines, ingest.CSV_HEADER)
+        monkeypatch.setattr(ingest, "open", open_recorded, raising=False)
+        columns, line, error = ingest.read_csv(path, "profile", ingest.CSV_HEADER)
         assert error is not None and line(0) == 2
         assert len(opened) == 2 and all(stream.closed for stream in opened)
 
@@ -630,12 +634,20 @@ class TestRoundTrip:
         assert (tmp_path / "x.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
 
 
+def write_text(text: str, path):
+    """Write ``text`` to the new file ``path`` through ``ingest.new_file``."""
+    with ingest.new_file(path) as fh:
+        fh.write(text)
+
+
 class TestWriteText:
     def test_writes_lf_and_refuses_an_existing_file(self, tmp_path):
-        path = ingest.write_text("a\nb\n", tmp_path / "sub" / "f.txt")
+        path = tmp_path / "sub" / "f.txt"
+        with ingest.new_file(path) as fh:
+            fh.write("a\nb\n")
         assert path.read_bytes() == b"a\nb\n"
         with pytest.raises(ValidationError, match="output file already exists"):
-            ingest.write_text("c\n", path)
+            write_text("c\n", path)
         assert path.read_bytes() == b"a\nb\n"
         assert [p.name for p in path.parent.iterdir()] == ["f.txt"]
 
@@ -651,29 +663,36 @@ class TestWriteText:
         def fail(src, dst):
             raise OSError("disk full")
 
-        # text that cannot be encoded fails inside the write; a failed rename after it
+        # text that cannot be encoded fails inside the write; a failed publish after it
         with pytest.raises(UnicodeEncodeError):
-            ingest.write_text("a\ud800b\n", tmp_path / "f.txt")
-        monkeypatch.setattr(ingest.os, "replace", fail)
+            write_text("a\ud800b\n", tmp_path / "f.txt")
+        monkeypatch.setattr(ingest.os, "link", fail)
         with pytest.raises(OSError, match="disk full"):
-            ingest.write_text("a\n", tmp_path / "f.txt")
+            write_text("a\n", tmp_path / "f.txt")
         assert list(tmp_path.iterdir()) == []
 
     def test_existing_temp_file_is_left_alone(self, tmp_path):
         temp = tmp_path / f".f.txt.{os.getpid()}.tmp"
         temp.write_text("not made by this write\n")
         with pytest.raises(FileExistsError):
-            ingest.write_text("a\n", tmp_path / "f.txt")
+            write_text("a\n", tmp_path / "f.txt")
         assert temp.read_text() == "not made by this write\n"
         assert not (tmp_path / "f.txt").exists()
 
 
+def write_csv_text(rows) -> str:
+    """What ``ingest.write_csv`` writes of ``rows``."""
+    out = io.StringIO()
+    ingest.write_csv(out, rows)
+    return out.getvalue()
+
+
 class TestCsvText:
     def test_rows_written_once_without_a_cr(self):
-        assert ingest.csv_text([["a", 1], ["b,c", 2.5], ["d", None]]) == 'a,1\n"b,c",2.5\nd,\n'
+        assert write_csv_text([["a", 1], ["b,c", 2.5], ["d", None]]) == 'a,1\n"b,c",2.5\nd,\n'
 
     def test_text_with_a_cr_quotes_every_text_cell(self):
-        assert ingest.csv_text([["a", 1], ["b\rc", 2]]) == '"a",1\n"b\rc",2\n'
+        assert write_csv_text([["a", 1], ["b\rc", 2]]) == '"a",1\n"b\rc",2\n'
 
 
 def two_pass_csv_text(rows) -> str:
@@ -711,7 +730,6 @@ class TestStreamedWrites:
         with ingest.new_file(path) as fh:
             ingest.write_csv(fh, rows)
         assert path.read_bytes() == two_pass_csv_text(rows).encode("utf-8")
-        assert ingest.csv_text(rows) == two_pass_csv_text(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(json_payloads)

@@ -25,9 +25,9 @@ from citeineq import (
     window_series,
     yearly_average,
 )
-from citeineq.report import read_series_csv, series_from_csv, series_to_csv
+from citeineq.report import read_series_csv
 from citeineq.windows import SKIP_NO_PUBS, SKIP_TOO_FEW, SKIP_ZERO_CITES
-from helpers import citations_in, fraction_pair, make_profile, profile_of, series_from_pairs
+from helpers import citations_in, fraction_pair, make_profile, profile_of, reread_series, series_from_pairs
 
 # year -> citation lists drawn like modest careers
 profiles = st.dictionaries(
@@ -138,7 +138,7 @@ class TestWindowSeries:
             WindowEntry(2000, g, k, n_pubs, n_cites, reason)
 
     @given(profiles | sparse_profiles, st.integers(1, 5), st.integers(1, 8))
-    def test_series_rows_keep_the_count_rules(self, profile, min_pubs, width):
+    def test_series_rows_keep_the_count_rules(self, tmp_path_factory, profile, min_pubs, width):
         # the rules the series reader checks, stated apart from WindowEntry
         config = WindowConfig(width_years=width, end_year=2026, min_pubs=min_pubs)
         series = window_series(profile, config)
@@ -150,7 +150,7 @@ class TestWindowSeries:
                 assert e.n_pubs >= 1 and e.n_cites == 0
             elif e.reason is None:
                 assert e.n_pubs >= 1 and e.n_cites >= 1
-        assert series_from_csv(series_to_csv(series)) == series
+        assert reread_series(series, tmp_path_factory.mktemp("series")) == series
 
     def test_no_windows(self):
         profile = make_profile({2021: [4, 5]})
