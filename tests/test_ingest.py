@@ -643,8 +643,7 @@ def write_text(text: str, path):
 class TestWriteText:
     def test_writes_lf_and_refuses_an_existing_file(self, tmp_path):
         path = tmp_path / "sub" / "f.txt"
-        with ingest.new_file(path) as fh:
-            fh.write("a\nb\n")
+        write_text("a\nb\n", path)
         assert path.read_bytes() == b"a\nb\n"
         with pytest.raises(ValidationError, match="output file already exists"):
             write_text("c\n", path)
